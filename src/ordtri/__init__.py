@@ -17,6 +17,7 @@ from .incidence import (
     DegeneracyClass,
     DegeneracyTag,
     IncidenceProfile,
+    InvariantError,
     LineCensus,
     PointSet,
     SylvesterGallaiError,

@@ -12,7 +12,7 @@ from math import comb
 from typing import Optional
 
 from .geom import CanonicalLine, incident
-from .incidence import IncidenceProfile, PointSet, spectrum_f
+from .incidence import IncidenceProfile, InvariantError, PointSet, spectrum_f
 from .triangles import Constants
 
 
@@ -165,7 +165,8 @@ def check_medium_sum(profile: IncidenceProfile, constants: Constants
     low = sum(comb(l, 2) for l in mults if c < l and l * l <= n)
     high = sum(comb(l, 2) for l in mults if l * l > n and l <= alpha_n)
     combined = sum(comb(l, 2) for l in mults if c < l <= alpha_n)
-    assert combined == low + high
+    if combined != low + high:
+        raise InvariantError("medium-line pair sum differs from its two dyadic halves")
     instance = f"n={n} c={c} c'={c_prime}"
     reports = [
         BoundReport(name="medium-line pair sum", instance=instance,

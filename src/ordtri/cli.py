@@ -3,12 +3,14 @@ find c-ordinary triangles, and verify the supporting bounds.
 
 Reports are JSON on stdout; rationals are serialized as exact "p/q" strings.
 Exit codes: 0 ok/found, 3 no triangle exists (find), 2 input error,
-1 internal error or violated theorem-backed bound.
+1 internal error, violated invariant or violated theorem-backed bound,
+141 stdout closed early (broken pipe, 128 + SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +20,7 @@ from . import bounds, generators, triangles
 from .geom import CanonicalLine
 from .incidence import (
     DegeneracyTag,
+    InvariantError,
     PointSet,
     classify_degeneracy,
     enumerate_lines,
@@ -121,18 +124,16 @@ def cmd_analyze(args) -> int:
     P = _read_points(args.input)
     if len(P) < 2:
         raise PointFileError("need at least 2 points to analyze")
-    profile = enumerate_lines(P)
+    census = line_census(P)
     n = len(P)
-    pair_sum = sum(comb(l, 2) for l in profile.entries.values())
+    pair_sum = sum(comb(l, 2) * k for l, k in census.count_by_mult.items())
     report = {
         "version": REPORT_VERSION,
         "command": "analyze",
         "parameters": {"input": args.input},
         "n": n,
-        "line_count": profile.line_count,
-        "spectrum": [[k, f] for k, f in
-                     ((k, sum(1 for l in profile.entries.values() if l >= k))
-                      for k in range(2, profile.max_multiplicity + 1))],
+        "line_count": census.line_count,
+        "spectrum": [[k, f] for k, f in census.spectrum_table()],
         "degeneracy": _degeneracy_json(classify_degeneracy(P)),
         "pair_sum_identity": {
             "sum_pairs_on_lines": pair_sum,
@@ -169,7 +170,7 @@ def cmd_find(args) -> int:
         case = rep.case_taken.value
         count_kind = "exact" if rep.count_is_exact else "lower_bound"
         witness = rep.rich_witness
-        spectrum = line_census(P).spectrum_table() if n >= 2 else []
+        spectrum = rep.spectrum
     report = {
         "version": REPORT_VERSION,
         "command": "find",
@@ -289,10 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send the interpreter's final flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (PointFileError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,12 @@ class SylvesterGallaiError(ValueError):
     """Ordinary-line finder called on a collinear or too-small set."""
 
 
+class InvariantError(RuntimeError):
+    """An identity that holds for every input failed: a defect, not bad input.
+
+    Raised by explicit checks, so that it still fires under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Ordered, pairwise-distinct points.  Index order is the canonical
@@ -88,10 +94,43 @@ def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]
     return (a, b, c)
 
 
-def _unscale_line(key: tuple[int, int, int], sx: int, sy: int) -> CanonicalLine:
-    """Map a line triple in scaled coordinates back to original coordinates."""
-    a, b, c = key
-    return CanonicalLine.of(a * sx, b * sy, c)
+def _unscale(key: tuple[int, int, int], sx: int, sy: int) -> tuple[int, int, int]:
+    """Map a line triple in scaled coordinates back to original coordinates.
+
+    a*X + b*Y + c = 0 with X = sx*x, Y = sy*y is (a*sx)*x + (b*sy)*y + c = 0.
+    sx, sy > 0 keep the key's sign normalization, so only the gcd goes.
+    """
+    if sx == 1 and sy == 1:
+        return key
+    a, b, c = key[0] * sx, key[1] * sy, key[2]
+    g = gcd(a, b, c)
+    return (a // g, b // g, c // g)
+
+
+def _normals(x0: int, y0: int, others) -> list[tuple[int, int]]:
+    """Primitive normal (a, b) of the line through (x0, y0) and each other
+    scaled point, sign-normalized like a CanonicalLine (a > 0, or a = 0 and
+    b > 0).  Two points share a normal iff they are collinear with (x0, y0);
+    the line's key is (a, b, -(a*x0 + b*y0)), already primitive."""
+    out = []
+    for x, y in others:
+        a = y0 - y
+        b = x - x0
+        g = gcd(a, b)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        out.append((a // g, b // g))
+    return out
+
+
+def _pencil(pts: list[tuple[int, int]], k: int
+            ) -> tuple[list[Optional[tuple[int, int]]], dict[tuple[int, int], int]]:
+    """The lines through point k: the normal toward every point (None at k
+    itself) and the multiplicity of each line, in O(n)."""
+    xk, yk = pts[k]
+    before, after = _normals(xk, yk, pts[:k]), _normals(xk, yk, pts[k + 1:])
+    mult = {normal: size + 1 for normal, size in Counter(before + after).items()}
+    return before + [None] + after, mult
 
 
 @dataclass(frozen=True)
@@ -129,7 +168,8 @@ def _scaled_multiplicities(P: PointSet) -> dict[tuple[int, int, int], int]:
     mult: dict[tuple[int, int, int], int] = {}
     for key, t in pair_counts.items():
         l = (1 + isqrt(1 + 8 * t)) // 2
-        assert l * (l - 1) // 2 == t, "pair count is not triangular"
+        if l * (l - 1) // 2 != t:
+            raise InvariantError(f"pair count {t} of a line is not triangular")
         mult[key] = l
     return mult
 
@@ -140,9 +180,10 @@ def enumerate_lines(P: PointSet) -> IncidenceProfile:
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
     _, sx, sy = P.scaled_ints
-    entries = {_unscale_line(key, sx, sy): l
+    entries = {CanonicalLine(*_unscale(key, sx, sy)): l
                for key, l in _scaled_multiplicities(P).items()}
-    assert sum(comb(l, 2) for l in entries.values()) == comb(n, 2)
+    if sum(comb(l, 2) for l in entries.values()) != comb(n, 2):
+        raise InvariantError("pair-sum identity violated by the line profile")
     return IncidenceProfile(entries=entries, n=n)
 
 
@@ -217,25 +258,20 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
 
 
-def find_ordinary_line(P: PointSet, profile: Optional[IncidenceProfile] = None
-                       ) -> tuple[CanonicalLine, Point, Point]:
+def find_ordinary_line(P: PointSet) -> tuple[CanonicalLine, Point, Point]:
     """An ordinary line of P (exactly two incident points) with its two points.
 
     Deterministic: the lexicographically smallest canonical triple among all
     ordinary lines; the two points come back in index order.  Existence for a
-    non-collinear P is the Sylvester-Gallai theorem.
+    non-collinear P is the Sylvester-Gallai theorem.  One census pass.
     """
     if len(P) < 3:
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: fewer than 3 points")
-    if profile is None:
-        profile = enumerate_lines(P)
-    ordinary = [l for l, mult in profile.entries.items() if mult == 2]
-    if not ordinary:
+    census = line_census(P, ordinary=True)
+    if census.ordinary is None:
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
-    best = min(ordinary, key=CanonicalLine.triple)
-    idx = points_on_line(P, best)
-    assert len(idx) == 2
-    return best, P[idx[0]], P[idx[1]]
+    i, j = census.members[census.ordinary]
+    return census.ordinary, P[i], P[j]
 
 
 # --- memory-light census for large inputs -----------------------------------
@@ -246,12 +282,19 @@ class LineCensus:
 
     count_by_mult[l] = number of determined lines with exactly l points.
     rich holds the (few) lines with multiplicity > rich_threshold explicitly.
+    top is the lowest canonical triple among the lines of maximum
+    multiplicity, ordinary the lowest among the lines with exactly two
+    points; each is None unless asked for.  members maps every line the
+    census reports to its point indices, ascending.
     """
 
     n: int
     count_by_mult: dict[int, int]
     rich_threshold: Optional[int]
     rich: tuple[tuple[CanonicalLine, int], ...] = ()
+    top: Optional[CanonicalLine] = None
+    ordinary: Optional[CanonicalLine] = None
+    members: dict[CanonicalLine, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def line_count(self) -> int:
@@ -270,55 +313,103 @@ class LineCensus:
         return [(k, self.f(k)) for k in range(2, self.max_multiplicity + 1)]
 
 
-def line_census(P: PointSet, rich_threshold: Optional[int] = None) -> LineCensus:
+def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
+                top: bool = False, ordinary: bool = False) -> LineCensus:
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
 
-    For each point i, later points are grouped by primitive direction.  A line
-    whose points have indices i1 < ... < il produces exactly one group of each
-    size l-1, ..., 1, so the number of groups of size s equals f(s+1) and the
-    full multiplicity histogram follows without storing any line.
+    For each point i, later points are grouped by the normal of their line
+    through i.  A line whose points have indices i1 < ... < il produces
+    exactly one group of each size l-1, ..., 1, so the number of groups of
+    size s equals f(s+1) and the full multiplicity histogram follows without
+    storing any line.
 
-    When rich_threshold is given, every line with multiplicity > threshold is
-    also reported explicitly: its lowest-index point owns a group of size
-    l-1 >= threshold, so collecting groups of size >= threshold and taking the
-    max group size per deduplicated line recovers (line, multiplicity) pairs.
+    Only the lowest-index point i1 of a line owns its group of size l-1,
+    which is what the optional reports rest on:
+
+    - rich_threshold: every line with multiplicity > threshold, with its
+      members.  Its owner is the first point to see it in a group of size
+      >= threshold, and that group holds the other members.
+    - top: a group of the largest size seen so far belongs to its owner
+      (a non-owner's group is smaller than the owner's, seen earlier).
+    - ordinary: a group of size 1 is an ordinary line unless an earlier
+      point saw the same line in a larger group.
     """
     n = len(P)
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
     pts, sx, sy = P.scaled_ints
     group_size_hist: Counter[int] = Counter()
-    rich_seen: dict[tuple[int, int, int], int] = {}
-    collect_rich = rich_threshold is not None
+    rich_seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    top_size, top_best = 0, None        # top_best: (original triple, scaled key)
+    ordinary_best = None
+    seen_in_larger: set[tuple[int, int, int]] = set()
     for i in range(n - 1):
         xi, yi = pts[i]
-        groups: Counter[tuple[int, int]] = Counter()
-        for j in range(i + 1, n):
-            dx = pts[j][0] - xi
-            dy = pts[j][1] - yi
-            g = gcd(dx, dy)
-            dx //= g
-            dy //= g
-            if dx < 0 or (dx == 0 and dy < 0):
-                dx, dy = -dx, -dy
-            groups[(dx, dy)] += 1
+        normals = groups = None  # free the last point's groups before building these
+        normals = _normals(xi, yi, pts[i + 1:])
+        groups = Counter(normals)
         group_size_hist.update(groups.values())
-        if collect_rich:
-            for (dx, dy), size in groups.items():
+        if rich_threshold is not None:
+            owned = {}
+            for (a, b), size in groups.items():
                 if size >= rich_threshold:
-                    key = _scaled_line_key(xi, yi, xi + dx, yi + dy)
-                    if rich_seen.get(key, 0) < size:
-                        rich_seen[key] = size
-    assert sum(s * c for s, c in group_size_hist.items()) == comb(n, 2)
+                    key = (a, b, -(a * xi + b * yi))
+                    if key not in rich_seen:
+                        owned[(a, b)] = key
+            if owned:
+                found = {normal: [i] for normal in owned}
+                for j, normal in enumerate(normals, i + 1):
+                    if normal in found:
+                        found[normal].append(j)
+                for normal, key in owned.items():
+                    rich_seen[key] = tuple(found[normal])
+        if top:
+            size = max(groups.values())
+            if size > top_size:
+                top_size, top_best = size, None
+            if size == top_size:
+                for (a, b), s in groups.items():
+                    if s == size:
+                        key = (a, b, -(a * xi + b * yi))
+                        triple = _unscale(key, sx, sy)
+                        if top_best is None or triple < top_best[0]:
+                            top_best = (triple, key)
+        if ordinary:
+            for (a, b), s in groups.items():
+                key = (a, b, -(a * xi + b * yi))
+                if s > 1:
+                    seen_in_larger.add(key)
+                elif key not in seen_in_larger:
+                    triple = _unscale(key, sx, sy)
+                    if ordinary_best is None or triple < ordinary_best[0]:
+                        ordinary_best = (triple, key)
+    if sum(s * c for s, c in group_size_hist.items()) != comb(n, 2):
+        raise InvariantError("census groups do not cover every pair once")
     count_by_mult = {
         l: group_size_hist.get(l - 1, 0) - group_size_hist.get(l, 0)
         for l in range(2, max(group_size_hist, default=1) + 2)
         if group_size_hist.get(l - 1, 0) - group_size_hist.get(l, 0) > 0
     }
-    assert sum(comb(l, 2) * c for l, c in count_by_mult.items()) == comb(n, 2)
-    rich = tuple(sorted(
-        ((_unscale_line(key, sx, sy), size + 1) for key, size in rich_seen.items()),
-        key=lambda pair: pair[0].triple(),
-    ))
+    if sum(comb(l, 2) * c for l, c in count_by_mult.items()) != comb(n, 2):
+        raise InvariantError("pair-sum identity violated by the census")
+    members = {CanonicalLine(*_unscale(key, sx, sy)): idx for key, idx in rich_seen.items()}
+    rich = tuple(sorted(((line, len(idx)) for line, idx in members.items()),
+                        key=lambda pair: pair[0].triple()))
+
+    def report(best, multiplicity):
+        if best is None:
+            return None
+        line = CanonicalLine(*best[0])
+        a, b, c = best[1]
+        on = tuple(k for k, (x, y) in enumerate(pts) if a * x + b * y + c == 0)
+        if len(on) != multiplicity:
+            raise InvariantError(f"line {best[0]} holds {len(on)} points, "
+                                 f"the census gives {multiplicity}")
+        members[line] = on
+        return line
+
     return LineCensus(n=n, count_by_mult=count_by_mult,
-                      rich_threshold=rich_threshold, rich=rich)
+                      rich_threshold=rich_threshold, rich=rich,
+                      top=report(top_best, top_size + 1),
+                      ordinary=report(ordinary_best, 2),
+                      members=members)

@@ -1,5 +1,6 @@
 """Text point files: one "x y" pair per line, integer or exact "p/q" rational
-coordinates.  Blank lines and '#' comments are ignored.  Floating-point
+coordinates.  Blank lines are ignored, and '#' starts a comment that runs to
+the end of the line, on a line of its own or after a point.  Floating-point
 literals are rejected outright: silently rationalizing decimals would change
 the collinearity structure.
 """
@@ -31,8 +32,8 @@ def parse_points(stream: TextIO) -> PointSet:
     seen: dict[Point, int] = {}
     duplicates: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         toks = line.split()
         if len(toks) != 2:

@@ -21,15 +21,17 @@ from .incidence import (
     DegeneracyClass,
     DegeneracyTag,
     IncidenceProfile,
+    InvariantError,
+    LineCensus,
     PointSet,
     SylvesterGallaiError,
+    _pencil,
     _scaled_line_key,
     _scaled_multiplicities,
     classify_degeneracy,
     enumerate_lines,
     find_ordinary_line,
     line_census,
-    points_on_line,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,6 +112,7 @@ class TriangleReport:
     count_is_exact: bool  # False: count is a proven lower bound
     constants: Constants
     rich_witness: Optional[RichCaseWitness] = None
+    spectrum: tuple[tuple[int, int], ...] = ()  # [(k, f(k))] from the census
 
 
 def validate_c_ordinary(P: PointSet, profile: IncidenceProfile,
@@ -179,7 +182,9 @@ def build_poor_graph(P: PointSet, profile: IncidenceProfile, c: int) -> PoorGrap
                 adj[j].append(i)
     g = PoorGraph(n=n, adj=tuple(tuple(sorted(a)) for a in adj))
     expected = sum(comb(l, 2) for l in profile.entries.values() if l <= c)
-    assert g.edge_count == expected, "poor-graph edge identity violated"
+    if g.edge_count != expected:
+        raise InvariantError(f"poor-graph edge identity violated: {g.edge_count} edges, "
+                             f"the profile gives {expected}")
     return g
 
 
@@ -212,48 +217,54 @@ def find_case_poor_graph(P: PointSet, profile: IncidenceProfile, c: int,
     return out, count
 
 
-def find_case_rich_line(P: PointSet, profile: IncidenceProfile,
-                        rich_line: CanonicalLine, c: int
+def find_case_rich_line(P: PointSet, census: LineCensus, c: int
                         ) -> tuple[RichCaseWitness, list[tuple[int, int, int]]]:
-    """Rich-line path: pick an ordinary line (q, r) of the points off the rich
-    line, exclude the rich-line points whose connection to q or r is itself
-    too rich, and pair every survivor with (q, r).
+    """Rich-line path on the census's top line: pick an ordinary line (q, r)
+    of the points off the rich line, exclude the rich-line points whose
+    connection to q or r is itself too rich, and pair every survivor with
+    (q, r).  census must come from line_census(P, top=True).
 
     Emits at least ceil(l/2) - 1 validated triangles, where l is the rich
     line's multiplicity; the exclusion sets are each strictly below l/4.
     """
     n = len(P)
-    l_i = profile.entries.get(rich_line)
-    if l_i is None:
-        raise RichCasePreconditionError("rich_line is not a determined line of P")
+    rich_line = census.top
+    if rich_line is None or census.n != n:
+        raise RichCasePreconditionError("census of P without its top line")
+    on_idx = census.members[rich_line]
+    l_i = len(on_idx)
     if (c + 1) * l_i <= 4 * n:  # l_i <= alpha*n with alpha = 4/(c+1)
         raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
-    on_idx = points_on_line(P, rich_line)
-    assert len(on_idx) == l_i
     on_set = set(on_idx)
-    rest = PointSet(tuple(P[i] for i in range(n) if i not in on_set))
+    rest = PointSet(tuple(p for i, p in enumerate(P) if i not in on_set))
     try:
-        ordinary, q, r = find_ordinary_line(rest)
+        _, q, r = find_ordinary_line(rest)
     except SylvesterGallaiError as exc:
         raise RichCasePreconditionError(f"remainder off the rich line: {exc}") from exc
     qi, ri = P.index[q], P.index[r]
+    pts, _, _ = P.scaled_ints
+    toward_q, mult_q = _pencil(pts, qi)
+    toward_r, mult_r = _pencil(pts, ri)
     # the ordinary line picks up at most the one point where it crosses the
     # rich line, so its multiplicity in P is <= 3 and the qr side is safe
-    mult_qr = profile.entries[ordinary]
-    assert mult_qr <= 3, "ordinary line of the remainder has extra points"
-    too_rich_q = {i for i in on_idx if profile.entries[line_through(P[i], q)] > c}
-    too_rich_r = {i for i in on_idx if profile.entries[line_through(P[i], r)] > c}
-    crossing = {i for i in on_idx if orientation(P[i], q, r) == 0}
-    assert len(crossing) <= 1
+    if mult_q[toward_q[ri]] > 3:
+        raise InvariantError("ordinary line of the remainder has extra points")
+    too_rich_q = {i for i in on_idx if mult_q[toward_q[i]] > c}
+    too_rich_r = {i for i in on_idx if mult_r[toward_r[i]] > c}
+    crossing = {i for i in on_idx if toward_q[i] == toward_q[ri]}
+    if len(crossing) > 1:
+        raise InvariantError("the ordinary line meets the rich line twice")
     if crossing - (too_rich_q | too_rich_r):
         logger.info("rich-line case: excluding crossing point %s of the ordinary line",
                     next(iter(crossing)))
     # exact counting inclusions behind the proof's lower bound
-    assert 4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i
+    if not (4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i):
+        raise InvariantError("rich-line exclusions reach l/4")
     excluded = too_rich_q | too_rich_r | crossing
     survivors = [i for i in on_idx if i not in excluded]
     guarantee = (l_i + 1) // 2 - 1
-    assert len(survivors) >= guarantee
+    if len(survivors) < guarantee:
+        raise InvariantError(f"{len(survivors)} survivors below the guarantee {guarantee}")
     triangles = sorted(tuple(sorted((s, qi, ri))) for s in survivors)
     witness = RichCaseWitness(rich_line=rich_line, q=q, r=r,
                               excluded=frozenset(excluded),
@@ -262,19 +273,23 @@ def find_case_rich_line(P: PointSet, profile: IncidenceProfile,
     return witness, triangles
 
 
-def count_c_ordinary(P: PointSet, c: int) -> int:
+def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -> int:
     """Exact c-ordinary triangle count in O(n^2) time and O(n) memory.
 
     Works on the multiplicity census: a triple is c-ordinary iff none of its
     three pairs lies on a line with more than c points and the triple is not
     collinear.  Triples touching rich lines are removed by inclusion-exclusion
     over the (explicitly collected, few) rich lines; collinear triples on poor
-    lines are subtracted via the census histogram.
+    lines are subtracted via the census histogram.  A given census must be
+    line_census(P, rich_threshold=c).
     """
     n = len(P)
     if n < 3:
         return 0
-    census = line_census(P, rich_threshold=c)
+    if census is None:
+        census = line_census(P, rich_threshold=c)
+    elif census.rich_threshold != c or census.n != n:
+        raise ValueError(f"count_c_ordinary needs the census of P with rich_threshold={c}")
     total = comb(n, 3)
     collinear_poor = sum(cnt * comb(l, 3)
                          for l, cnt in census.count_by_mult.items() if l <= c)
@@ -287,8 +302,7 @@ def count_c_ordinary(P: PointSet, c: int) -> int:
     members: dict[CanonicalLine, set[Point]] = {}
     m_h = 0
     for line, mult in census.rich:
-        idx = points_on_line(P, line)
-        assert len(idx) == mult
+        idx = census.members[line]
         members[line] = {P[i] for i in idx}
         m_h += comb(mult, 2)
         for i in idx:
@@ -337,55 +351,43 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     if mode not in ("fast", "exhaustive", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     c = constants.c
+    n = len(P)
     classification = classify_degeneracy(P)
     tag = classification.tag
+    census = line_census(P, rich_threshold=c if mode == "count" else None,
+                         top=mode == "fast") if n >= 2 else None
+    spectrum = tuple(census.spectrum_table()) if census else ()
 
     def report(case, triangles, count, exact, witness=None):
         return TriangleReport(classification=classification, case_taken=case,
                               triangles=tuple(tuple(t) for t in triangles),
                               count=count, count_is_exact=exact,
-                              constants=constants, rich_witness=witness)
+                              constants=constants, rich_witness=witness,
+                              spectrum=spectrum)
 
     if tag in (DegeneracyTag.TOO_SMALL, DegeneracyTag.ALL_COLLINEAR):
         return report(CaseTaken.DEGENERATE, (), 0, True)
     # TwoLineUnion inputs sit below the theorem's hypothesis but are still
     # searched exactly; the classification rides along in the report
     if mode == "count":
-        return report(CaseTaken.POOR_GRAPH, (), count_c_ordinary(P, c), True)
+        return report(CaseTaken.POOR_GRAPH, (), count_c_ordinary(P, c, census), True)
 
-    profile = enumerate_lines(P)
-    if mode == "exhaustive":
-        tris, count = find_case_poor_graph(P, profile, c, limit)
-        return report(CaseTaken.POOR_GRAPH, tris, count, True)
-
-    # fast mode: rich dispatch on l_i > alpha*n, max multiplicity first,
-    # ties broken by canonical triple order
-    n = len(P)
-    rich = [(mult, line) for line, mult in profile.entries.items()
-            if (c + 1) * mult > 4 * n]
-    if rich:
-        best_mult = max(mult for mult, _ in rich)
-        best_line = min((line for mult, line in rich if mult == best_mult),
-                        key=CanonicalLine.triple)
-        rest = [P[i] for i in range(n) if i not in set(points_on_line(P, best_line))]
-        remainder_ok = len(rest) >= 3 and any(
-            orientation(rest[0], rest[1], p) != 0 for p in rest[2:])
-        if not remainder_ok:
-            rich = []  # rich-line case does not apply; use the poor graph
-    if rich:
+    # fast mode: rich dispatch on l_i > alpha*n for the line of maximum
+    # multiplicity, ties broken by canonical triple order
+    if mode == "fast" and (c + 1) * len(census.members[census.top]) > 4 * n:
         try:
-            witness, tris = find_case_rich_line(P, profile, best_line, c)
+            witness, tris = find_case_rich_line(P, census, c)
         except RichCasePreconditionError:
-            logger.warning("rich-line path failed unexpectedly; brute-force fallback")
+            pass  # the points off the line are collinear: use the poor graph
+        else:
+            if tris:
+                shown = tris if limit is None else tris[:limit]
+                return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)
             count, tris = enumerate_all_c_ordinary(P, c, limit)
             return report(CaseTaken.BRUTE_FORCE_FALLBACK, tris, count, True)
-        if tris:
-            shown = tris if limit is None else tris[:limit]
-            return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)
-        count, tris = enumerate_all_c_ordinary(P, c, limit)
-        return report(CaseTaken.BRUTE_FORCE_FALLBACK, tris, count, True)
+    profile = enumerate_lines(P)
     tris, count = find_case_poor_graph(P, profile, c, limit)
-    if count == 0:
+    if mode == "fast" and count == 0:
         # poor-path zero is already exact, but re-confirm through the oracle:
         # the non-empty-iff-exists contract must not rest on a single path
         count, tris = enumerate_all_c_ordinary(P, c, limit)

@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordtri.cli
 from ordtri.cli import main
+from ordtri.generators import gen_grid
+from ordtri.incidence import InvariantError
 from ordtri.pointfile import PointFileError, format_points, parse_points
 from ordtri.incidence import PointSet
 
@@ -43,6 +50,10 @@ class TestPointFile:
     def test_comments_and_blanks(self):
         P = parse_points(io.StringIO("# header\n\n1 2\n  # note\n3 4\n"))
         assert len(P) == 2
+        P = parse_points(io.StringIO("1 0 # note\n2/3 -1#tight\n"))
+        assert [(str(p.x), str(p.y)) for p in P] == [("1", "0"), ("2/3", "-1")]
+        with pytest.raises(PointFileError, match="line 1"):
+            parse_points(io.StringIO("1 # 2\n"))
 
     def test_duplicate_reports_line_numbers(self):
         with pytest.raises(PointFileError, match="line 3 repeats line 1"):
@@ -207,3 +218,53 @@ class TestDeterminism:
         reports = [strip_timing(run_json(capsys, "analyze", grid_file)[1])
                    for _ in range(2)]
         assert reports[0] == reports[1]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+class TestExitPaths:
+    def test_invariant_violation_exits_1(self, capsys, grid_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("pair-sum identity violated by the census")
+        monkeypatch.setattr(ordtri.cli, "line_census", broken)
+        code, out, err = run(capsys, "analyze", grid_file)
+        assert code == 1 and out == ""
+        assert err == "invariant violated: pair-sum identity violated by the census\n"
+
+    def test_invariant_checks_survive_optimize(self):
+        # a profile of another point set breaks the poor-graph edge identity
+        script = ("from ordtri import InvariantError, build_poor_graph, enumerate_lines, gen_grid\n"
+                  "assert False, 'asserts are on'\n"
+                  "try:\n"
+                  "    build_poor_graph(gen_grid(3), enumerate_lines(gen_grid(4)), 3)\n"
+                  "except InvariantError as exc:\n"
+                  "    print('raised:', exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: poor-graph edge identity violated")
+
+    def test_broken_pipe_exits_141_silently(self, tmp_path):
+        path = tmp_path / "grid8.txt"
+        path.write_text(format_points(gen_grid(8)))
+        # the report is about 245 KB, far more than a 64 KiB pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ordtri", "find", str(path), "--c", "3",
+             "--mode", "exhaustive"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head == b'{\n  "versi'
+        assert (code, err) == (141, b"")

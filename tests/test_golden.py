@@ -1,0 +1,41 @@
+"""Golden `find` reports: byte-identical output on fixed inputs.
+
+Each report under tests/data was written by `ordtri find <input> <options>`
+run in tests/data, with the `timing_seconds` line removed.  The inputs are
+gen_rich_line_plus(14, [(0, 1), (1, 3), (3, 7), (5, -2)]), a projection set
+on a rational base (its lowest ordinary line off the augmentation line
+differs between scaled-coordinate and original-coordinate triples),
+gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
+"""
+import re
+from pathlib import Path
+
+import pytest
+
+from ordtri.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+RUNS = [
+    ("rich", []), ("rich", ["--mode", "count"]),
+    ("projection", []), ("projection", ["--mode", "count"]),
+    ("grid6", ["--c", "3", "--limit", "12"]), ("grid6", ["--c", "3", "--mode", "count"]),
+    ("grid6", []), ("grid6", ["--mode", "count"]),
+    ("random60", []), ("random60", ["--mode", "count"]),
+    ("cubic", []), ("cubic", ["--mode", "count"]),
+]
+
+
+def golden_name(name, options):
+    return "-".join([name] + [o.lstrip("-") for o in options]) + ".json"
+
+
+@pytest.mark.parametrize("name, options", RUNS,
+                         ids=[golden_name(n, o)[:-5] for n, o in RUNS])
+def test_find_report_matches_golden(name, options, capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    assert main(["find", f"{name}.txt", *options]) == 0
+    report, removed = re.subn(r',\n  "timing_seconds": [^\n]*\n}\n$', "\n}\n",
+                              capsys.readouterr().out)
+    assert removed == 1
+    assert report == (DATA / golden_name(name, options)).read_text()

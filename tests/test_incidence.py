@@ -36,6 +36,18 @@ def brute_force_profile(P):
 
 GRID3 = gen_grid(3)
 UNIT_TRIANGLE = PointSet.of([(0, 0), (1, 0), (0, 1)])
+# Rational sets whose lowest top line (first) and lowest ordinary line
+# (second) differ between scaled-coordinate and original-coordinate triples.
+RATIONAL_TOP_TIE = PointSet.of([(-1, -2), (-1, "-3/5"), (0, -1), ("1/2", "1/5"), ("1/2", 4),
+                                (1, -2), ("3/2", "-1/5"), (2, 1)])
+RATIONAL_ORDINARY_TIE = PointSet.of([(-1, "-7/3"), ("-3/2", "5/4"), ("3/2", "-3/2"),
+                                     ("-9/4", "4/5"), ("-3/2", "5/3")])
+CENSUS_SETS = [
+    GRID3, UNIT_TRIANGLE, gen_cubic_progression(4),
+    gen_random(20, 25, 3), gen_random(40, 60, 9),
+    PointSet.of([("1/2", 0), (0, "1/3"), (1, 1), ("1/4", "1/6"), (2, 5)]),
+    RATIONAL_TOP_TIE, RATIONAL_ORDINARY_TIE,
+]
 
 
 class TestEnumerateLines:
@@ -105,11 +117,7 @@ class TestSpectrum:
 
 
 class TestLineCensus:
-    @pytest.mark.parametrize("P", [
-        GRID3, UNIT_TRIANGLE, gen_cubic_progression(4),
-        gen_random(20, 25, 3), gen_random(40, 60, 9),
-        PointSet.of([("1/2", 0), (0, "1/3"), (1, 1), ("1/4", "1/6"), (2, 5)]),
-    ])
+    @pytest.mark.parametrize("P", CENSUS_SETS)
     def test_census_matches_profile(self, P):
         prof = enumerate_lines(P)
         census = line_census(P)
@@ -123,6 +131,24 @@ class TestLineCensus:
         expected = sorted(((l, m) for l, m in prof.entries.items() if m > 3),
                           key=lambda pair: pair[0].triple())
         assert list(census.rich) == expected
+        assert all(census.members[l] == tuple(points_on_line(P, l)) for l, _ in expected)
+
+    @pytest.mark.parametrize("P", CENSUS_SETS + [gen_grid(5), PointSet.of([(0, 0), (1, 1), (2, 2)])])
+    def test_top_and_ordinary_match_profile(self, P):
+        prof = enumerate_lines(P)
+        census = line_census(P, top=True, ordinary=True)
+        top = min((l for l, m in prof.entries.items() if m == prof.max_multiplicity),
+                  key=CanonicalLine.triple)
+        ordinary = min((l for l, m in prof.entries.items() if m == 2),
+                       key=CanonicalLine.triple, default=None)
+        assert (census.top, census.ordinary) == (top, ordinary)
+        for line in (top, ordinary):
+            if line is not None:
+                assert census.members[line] == tuple(points_on_line(P, line))
+
+    def test_reports_only_what_is_asked(self):
+        census = line_census(GRID3)
+        assert (census.top, census.ordinary, census.rich, census.members) == (None, None, (), {})
 
 
 class TestClassifyDegeneracy:

@@ -1,12 +1,19 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import CanonicalLine, orientation, point
-from ordtri.incidence import DegeneracyTag, PointSet, enumerate_lines, points_on_line
+from ordtri.geom import CanonicalLine, line_through, orientation, point
+from ordtri.incidence import (
+    DegeneracyTag,
+    PointSet,
+    enumerate_lines,
+    line_census,
+    points_on_line,
+)
 from ordtri.triangles import (
     CaseTaken,
     Constants,
@@ -141,11 +148,31 @@ class TestPoorGraph:
 RICH_EXAMPLE = gen_rich_line_plus(10, [(0, 1), (1, 1), (2, 3)])
 
 
+def profile_rich_case(P, c):
+    """The rich-line path spelled out on the full line profile: the line of
+    maximum multiplicity with the lowest triple, the lowest ordinary line of
+    the points off it, and the apexes excluded by the profile."""
+    prof = enumerate_lines(P)
+    top = prof.max_multiplicity
+    line = min((l for l, m in prof.entries.items() if m == top), key=CanonicalLine.triple)
+    on = points_on_line(P, line)
+    rest = PointSet(tuple(p for i, p in enumerate(P) if i not in on))
+    rest_prof = enumerate_lines(rest)
+    ordinary = min((l for l, m in rest_prof.entries.items() if m == 2),
+                   key=CanonicalLine.triple)
+    q, r = (rest[i] for i in points_on_line(rest, ordinary))
+    too_rich = {i for i in on for apex in (q, r)
+                if prof.entries[line_through(P[i], apex)] > c}
+    crossing = {i for i in on if orientation(P[i], q, r) == 0}
+    return line, q, r, too_rich, too_rich | crossing
+
+
 class TestRichCase:
     def test_example_instance(self):
         prof = enumerate_lines(RICH_EXAMPLE)
         x_axis = CanonicalLine(0, 1, 0)
-        witness, tris = find_case_rich_line(RICH_EXAMPLE, prof, x_axis, 10)
+        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
+        assert witness.rich_line == x_axis
         assert len(tris) >= 4  # ceil(10/2) - 1
         assert all(validate_c_ordinary(RICH_EXAMPLE, prof, t, 10) for t in tris)
         oracle = set(map(tuple, enumerate_all_c_ordinary(RICH_EXAMPLE, 10)[1]))
@@ -153,27 +180,62 @@ class TestRichCase:
 
     def test_exclusion_bounds(self):
         prof = enumerate_lines(RICH_EXAMPLE)
-        witness, _ = find_case_rich_line(RICH_EXAMPLE, prof, CanonicalLine(0, 1, 0), 10)
+        witness, _ = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
+        assert witness.rich_line == CanonicalLine(0, 1, 0)
         l = prof.entries[CanonicalLine(0, 1, 0)]
         assert len(witness.excluded - witness.survivors) <= l
         assert witness.guarantee == (l + 1) // 2 - 1
 
     def test_collinear_remainder_rejected(self):
         P = gen_rich_line_plus(10, [(0, 1), (1, 1)])  # remainder is 2 points
-        prof = enumerate_lines(P)
         with pytest.raises(RichCasePreconditionError):
-            find_case_rich_line(P, prof, CanonicalLine(0, 1, 0), 10)
+            find_case_rich_line(P, line_census(P, top=True), 10)
 
     def test_not_rich_rejected(self):
-        prof = enumerate_lines(GRID3)
+        census = line_census(GRID3, top=True)  # top: a 3-point row of the grid
+        assert len(census.members[census.top]) == 3
         with pytest.raises(RichCasePreconditionError):
-            find_case_rich_line(GRID3, prof, CanonicalLine(0, 1, 0), 3)
+            find_case_rich_line(GRID3, census, 3)
+
+    def test_census_without_top_rejected(self):
+        with pytest.raises(RichCasePreconditionError):
+            find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE), 10)
 
     def test_survivors_never_collinear_with_qr(self):
-        prof = enumerate_lines(RICH_EXAMPLE)
-        witness, tris = find_case_rich_line(RICH_EXAMPLE, prof, CanonicalLine(0, 1, 0), 10)
+        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
         for s in witness.survivors:
             assert orientation(RICH_EXAMPLE[s], witness.q, witness.r) != 0
+
+    def test_apex_on_too_rich_line_excluded(self):
+        # x = 0 holds (0, 0) and seven extras: 8 points > c = 7 through q = (0, 1)
+        P = gen_rich_line_plus(9, [(0, j) for j in range(1, 8)] + [(1, 1)])
+        witness, tris = find_case_rich_line(P, line_census(P, top=True), 7)
+        assert (witness.q, witness.r) == (point(0, 1), point(1, 1))
+        assert witness.excluded == {0} and 0 not in witness.survivors
+        assert len(tris) == 8
+
+    def test_matches_profile_definition(self):
+        rng = random.Random(5)
+        checked = with_too_rich = 0
+        for _ in range(300):
+            x0 = rng.randrange(-2, 6)
+            extras = {(x0, j) for j in range(1, rng.randrange(2, 9))} | \
+                {(rng.randrange(-3, 7), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 4))}
+            try:
+                P = gen_rich_line_plus(rng.randrange(4, 16), sorted(extras))
+            except ValueError:  # extras collinear
+                continue
+            c = rng.randrange(3, 10)
+            try:
+                witness, _ = find_case_rich_line(P, line_census(P, top=True), c)
+            except RichCasePreconditionError:
+                continue
+            line, q, r, too_rich, excluded = profile_rich_case(P, c)
+            assert (witness.rich_line, witness.q, witness.r) == (line, q, r)
+            assert witness.excluded == excluded
+            checked += 1
+            with_too_rich += bool(too_rich)
+        assert checked >= 100 and with_too_rich >= 2
 
 
 class TestCountOnly:
