@@ -42,6 +42,7 @@ from .triangles import (
     TriangleReport,
     build_poor_graph,
     count_c_ordinary,
+    count_triangles,
     enumerate_all_c_ordinary,
     find_c_ordinary,
     find_case_poor_graph,
@@ -55,7 +56,6 @@ from .bounds import (
     check_medium_sum,
     check_st,
     count_incidences,
-    count_triangles,
     derive_constants,
     eg_lower_bound,
     st_threshold,

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
-from .geom import CanonicalLine, incident
+from .geom import CanonicalLine
 from .incidence import IncidenceProfile, InvariantError, PointSet, spectrum_f
-from .triangles import Constants
+from .triangles import Constants, count_triangles
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,15 @@ def check_st(P: PointSet, profile: IncidenceProfile, c_prime: int = 125
 
 
 def count_incidences(P: PointSet, lines: list[CanonicalLine]) -> int:
-    return sum(1 for l in lines for p in P if incident(l, p))
+    """Point-line incidences, each tested in integers as a*X + b*Y + c*W == 0
+    on the point's homogeneous triple (X, Y, W) = (x*W, y*W, W), where
+    W = lcm of the denominators of x and y."""
+    homogeneous = []
+    for p in P:
+        w = lcm(p.x.denominator, p.y.denominator)
+        homogeneous.append((p.x.numerator * (w // p.x.denominator),
+                            p.y.numerator * (w // p.y.denominator), w))
+    return sum(1 for l in lines for x, y, w in homogeneous if l.a * x + l.b * y + l.c * w == 0)
 
 
 def check_incidence_bound(P: PointSet, lines: list[CanonicalLine]) -> BoundReport:
@@ -103,18 +111,6 @@ def eg_lower_bound(n: int, m: int) -> Fraction:
     if n < 1:
         raise ValueError("eg_lower_bound requires n >= 1")
     return Fraction(m * (4 * m - n * n), 3 * n)
-
-
-def count_triangles(g) -> int:
-    """Exact triangle count of a simple undirected graph (n, sorted adj lists)
-    by adjacency-set intersection over the edges."""
-    adj_sets = [set(a) for a in g.adj]
-    total = 0
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if v > u:
-                total += sum(1 for w in adj_sets[u] & adj_sets[v] if w > v)
-    return total
 
 
 def check_eg(g, instance: str = "") -> BoundReport:

@@ -9,14 +9,14 @@ paths exploit.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .geom import CanonicalLine, Point, intersect, line_through, orientation
+from .geom import CanonicalLine, Point, line_through, orientation
 from .incidence import (
     DegeneracyClass,
     DegeneracyTag,
@@ -86,6 +86,18 @@ class PoorGraph:
                     yield (u, v)
 
 
+def count_triangles(g) -> int:
+    """Exact triangle count of a simple undirected graph (n, sorted adj lists)
+    by adjacency-set intersection over the edges."""
+    adj_sets = [set(a) for a in g.adj]
+    total = 0
+    for u in range(g.n):
+        for v in g.adj[u]:
+            if v > u:
+                total += sum(1 for w in adj_sets[u] & adj_sets[v] if w > v)
+    return total
+
+
 class CaseTaken(Enum):
     RICH_LINE = "RichLine"
     POOR_GRAPH = "PoorGraph"
@@ -135,6 +147,8 @@ def enumerate_all_c_ordinary(P: PointSet, c: int, limit: Optional[int] = None
     """Brute-force oracle: exact count of all c-ordinary triples, plus the
     triples themselves in ascending index order (list truncated at limit,
     count always exact).  O(n^3) with O(1) per-triple checks."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     n = len(P)
     if n < 3:
         return 0, []
@@ -279,9 +293,18 @@ def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -
     Works on the multiplicity census: a triple is c-ordinary iff none of its
     three pairs lies on a line with more than c points and the triple is not
     collinear.  Triples touching rich lines are removed by inclusion-exclusion
-    over the (explicitly collected, few) rich lines; collinear triples on poor
-    lines are subtracted via the census histogram.  A given census must be
+    over the graph H of pairs on rich lines; collinear triples on poor lines
+    are subtracted via the census histogram.  A given census must be
     line_census(P, rich_threshold=c).
+
+    H's cross-line triangles come from the point side.  Two distinct lines
+    share at most one point, so listing the k_i rich lines through each point
+    i builds the meeting graph M of the rich lines, with sum C(k_i, 2) edges,
+    without intersecting any two lines.  Three pairwise meeting rich lines
+    either pass through one point (C(k_i, 3) such triples at point i) or meet
+    at three distinct points, which span a triangle of H: the cross-line
+    term is T(M) - sum C(k_i, 3).  The cost beyond the census is O(n + |M|)
+    plus counting T(M), with no loop over pairs or triples of rich lines.
     """
     n = len(P)
     if n < 3:
@@ -298,37 +321,23 @@ def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -
     # H = graph of pairs on rich lines; rich lines induce vertex-disjoint-edge
     # cliques (two lines share at most one point).  Count triples with no
     # H-edge by inclusion-exclusion over edges, paths, and triangles of H.
-    deg: Counter[int] = Counter()
-    members: dict[CanonicalLine, set[Point]] = {}
-    m_h = 0
-    for line, mult in census.rich:
-        idx = census.members[line]
-        members[line] = {P[i] for i in idx}
-        m_h += comb(mult, 2)
-        for i in idx:
-            deg[i] += mult - 1
-    paths = sum(comb(d, 2) for d in deg.values())
-    tri_h = sum(comb(mult, 3) for _, mult in census.rich)
-    # cross-line triangles of H: three rich lines pairwise meeting at points of P
-    rich_lines = [line for line, _ in census.rich]
-    rr = len(rich_lines)
-    meet: dict[tuple[int, int], Point] = {}
-    for a in range(rr - 1):
-        for b in range(a + 1, rr):
-            u = intersect(rich_lines[a], rich_lines[b])
-            if isinstance(u, Point) and u in members[rich_lines[a]] and u in members[rich_lines[b]]:
-                meet[(a, b)] = u
-    for a in range(rr - 2):
-        for b in range(a + 1, rr - 1):
-            uab = meet.get((a, b))
-            if uab is None:
-                continue
-            for cc in range(b + 1, rr):
-                uac = meet.get((a, cc))
-                ubc = meet.get((b, cc))
-                if uac is not None and ubc is not None and \
-                        len({uab, uac, ubc}) == 3:
-                    tri_h += 1
+    through: list[list[int]] = [[] for _ in range(n)]  # indices of the rich lines through i
+    for a, (line, _) in enumerate(census.rich):
+        for i in census.members[line]:
+            through[i].append(a)
+    mults = [mult for _, mult in census.rich]
+    m_h = sum(comb(mult, 2) for mult in mults)
+    tri_h = sum(comb(mult, 3) for mult in mults)
+    paths = 0
+    meets: list[list[int]] = [[] for _ in mults]
+    for lines in through:
+        paths += comb(sum(mults[a] - 1 for a in lines), 2)
+        tri_h -= comb(len(lines), 3)
+        for a, b in combinations(lines, 2):
+            meets[a].append(b)
+            meets[b].append(a)
+    # M in PoorGraph's sorted-adjacency form; its vertices are the rich lines
+    tri_h += count_triangles(PoorGraph(n=len(meets), adj=tuple(tuple(sorted(m)) for m in meets)))
     no_rich_pair = total - m_h * (n - 2) + paths - tri_h
     return no_rich_pair - collinear_poor
 
@@ -350,6 +359,8 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     """
     if mode not in ("fast", "exhaustive", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     c = constants.c
     n = len(P)
     classification = classify_degeneracy(P)

@@ -159,11 +159,15 @@ def test_criterion_03_richness_threshold(corpus):
 
 
 def test_criterion_04_incidence_bound(corpus):
+    t0 = time.perf_counter()
     for name, P in corpus:
         lines = list(enumerate_lines(P).entries)
         assert check_incidence_bound(P, lines).satisfied, name
+    elapsed = time.perf_counter() - t0
+    # generous: integer incidence tests take seconds, Fraction tests minutes
+    assert elapsed < 60
     ok(4, f"incidence bound holds (exact integer comparison) on "
-          f"{len(corpus)} instances")
+          f"{len(corpus)} instances in {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_05_triangle_lower_bound(corpus):

@@ -19,7 +19,8 @@ from ordtri.bounds import (
 )
 from ordtri.incidence import PointSet, enumerate_lines
 from ordtri.triangles import Constants, PoorGraph, build_poor_graph
-from ordtri.generators import gen_grid, gen_random
+from ordtri.generators import gen_grid, gen_projection_augmented, gen_random
+from ordtri.geom import CanonicalLine
 
 
 def make_graph(n, edges):
@@ -110,6 +111,20 @@ class TestIncidenceBound:
         P = gen_random(30, 30, seed)
         prof = enumerate_lines(P)
         assert check_incidence_bound(P, list(prof.entries)).satisfied
+
+    @pytest.mark.parametrize("P", [
+        gen_random(40, 50, 3),
+        gen_random(60, 10 ** 6, 4),
+        gen_projection_augmented(gen_random(6, 10 ** 5, 1000),
+                                 CanonicalLine.of(1, -12345, 6789012345)),
+        gen_projection_augmented(gen_grid(3), CanonicalLine.of(1, -7, 100)),
+        # x and y denominators differ
+        PointSet.of([(Fraction(i, 3), Fraction(j, 7)) for i in range(4) for j in range(4)]
+                    + [(Fraction(1, 2), Fraction(5, 9)), (Fraction(-4, 5), Fraction(2, 11))]),
+    ])
+    def test_determined_lines_count_their_multiplicities(self, P):
+        prof = enumerate_lines(P)
+        assert count_incidences(P, list(prof.entries)) == sum(prof.entries.values())
 
 
 class TestEgBound:

@@ -172,6 +172,23 @@ class TestFind:
                              "--mode", "exhaustive", "--limit", "2")
         assert rep["count"] == 76 and len(rep["triangles"]) == 2
 
+    def test_negative_limit_rejected_on_rich_line_path(self, capsys, tmp_path):
+        f = tmp_path / "rich.txt"
+        code, out, _ = run(capsys, "generate", "--kind", "rich-line", "--k", "10",
+                           "--extra", "0,1", "--extra", "1,2", "--extra", "3,7")
+        f.write_text(out)
+        code, rep = run_json(capsys, "find", str(f), "--c", "5")
+        assert rep["case_taken"] == "RichLine"
+        code, out, err = run(capsys, "find", str(f), "--c", "5", "--limit", "-1")
+        assert code == 2 and out == "" and "limit" in err
+
+    @pytest.mark.parametrize("args", [("--c", "3", "--mode", "exhaustive"),
+                                      ("--c", "3", "--mode", "count"),
+                                      ("--c", "2", "--mode", "exhaustive", "--allow-small-c")])
+    def test_negative_limit_rejected(self, capsys, grid_file, args):
+        code, out, err = run(capsys, "find", grid_file, *args, "--limit", "-1")
+        assert code == 2 and out == "" and "limit" in err
+
     def test_count_mode(self, capsys, grid_file):
         code, rep = run_json(capsys, "find", grid_file, "--c", "3", "--mode", "count")
         assert rep["count"] == 76 and rep["triangles"] == []

@@ -96,6 +96,10 @@ class TestOracle:
         full_count, full = enumerate_all_c_ordinary(GRID3, 3)
         assert count == full_count and tris == full[:5]
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_all_c_ordinary(GRID3, 3, limit=-1)
+
     @pytest.mark.parametrize("seed,c", [(s, c) for s in range(4) for c in (3, 5)])
     def test_matches_literal_definition(self, seed, c):
         P = gen_random(16, 18, seed)
@@ -248,9 +252,11 @@ class TestCountOnly:
         GRID3, gen_grid(5), gen_cubic_progression(6),
         gen_two_line_union(4, 4), gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7)]),
         PointSet.of([(i, 0) for i in range(8)]),
+        gen_grid(4), gen_grid(6), gen_grid(7), gen_grid(8),
+        *(gen_cubic_progression(m) for m in range(2, 6)),
     ])
     def test_equals_oracle_families(self, P):
-        for c in (3, 5):
+        for c in (3, 4, 5):
             assert count_c_ordinary(P, c) == enumerate_all_c_ordinary(P, c)[0]
 
     def test_cross_line_rich_triangles(self):
@@ -260,6 +266,31 @@ class TestCountOnly:
         P = PointSet.of(sorted(pts))
         for c in (3, 4, 5):
             assert count_c_ordinary(P, c) == enumerate_all_c_ordinary(P, c)[0]
+
+    def test_concurrent_rich_lines(self):
+        # a row, a column and both diagonals through the origin, each with at
+        # least 5 points: rich and concurrent there at c = 3 and at c = 4
+        pts = {(0, 0)} | {(t, 0) for t in range(1, 5)} | {(0, t) for t in range(1, 5)} \
+            | {(t, t) for t in range(1, 5)} | {(t, -t) for t in range(1, 5)} \
+            | {(t, 5) for t in range(-3, 1)} | {(-5, t) for t in range(-3, 1)} \
+            | {(2, 7), (3, 9), (-4, 6)}
+        P = PointSet.of(sorted(pts))
+        census = line_census(P, rich_threshold=3)
+        origin = P.index[point(0, 0)]
+        through_origin = [line for line, _ in census.rich if origin in census.members[line]]
+        assert len(through_origin) >= 3
+        for c in (3, 4):
+            census = line_census(P, rich_threshold=c)
+            assert count_c_ordinary(P, c, census) == enumerate_all_c_ordinary(P, c)[0]
+
+    def test_grid12_golden_without_line_intersection(self, monkeypatch):
+        def no_intersect(*args):
+            raise AssertionError("count_c_ordinary must not intersect lines")
+        import ordtri.geom
+        import ordtri.triangles
+        monkeypatch.setattr(ordtri.geom, "intersect", no_intersect)
+        monkeypatch.setattr(ordtri.triangles, "intersect", no_intersect, raising=False)
+        assert count_c_ordinary(gen_grid(12), 3) == 74168
 
 
 class TestDispatch:
@@ -314,6 +345,12 @@ class TestDispatch:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             find_c_ordinary(GRID3, Constants.for_c(3), mode="turbo")
+
+    @pytest.mark.parametrize("mode", ["fast", "exhaustive", "count"])
+    def test_negative_limit_rejected(self, mode):
+        P = gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)])
+        with pytest.raises(ValueError):
+            find_c_ordinary(P, Constants.for_c(5), mode=mode, limit=-1)
 
     def test_small_c_rejected(self):
         with pytest.raises(ValueError):
