@@ -47,6 +47,7 @@ from .triangles import (
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
+    poor_graph_size,
     validate_c_ordinary,
 )
 from .bounds import (

@@ -1,19 +1,23 @@
 """Empirical verifiers for the incidence bounds, the triangle-count lower
 bound, the medium-line summations, and the derivation of the constants.
 
-All verdicts are exact: fractional-power comparisons are decided by cubing
-both sides in integer arithmetic, never by floating point.
+Each verifier judges counts that its caller supplies (the spectrum, the
+number of lines and incidences, a graph's edges and triangles, the
+multiplicity histogram), so one verdict serves a line census as well as
+explicit lines and graphs.  All verdicts are exact: fractional-power
+comparisons are decided by cubing both sides in integer arithmetic, never
+by floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
-from typing import Optional
+from math import comb
+from typing import Iterable, Optional
 
 from .geom import CanonicalLine
-from .incidence import IncidenceProfile, InvariantError, PointSet, spectrum_f
-from .triangles import Constants, count_triangles
+from .incidence import InvariantError, PointSet
+from .triangles import Constants
 
 
 @dataclass(frozen=True)
@@ -46,19 +50,18 @@ def st_threshold(n: int, k: int, c_prime: int = 125) -> Fraction:
     return Fraction(c_prime * n, k)
 
 
-def check_st(P: PointSet, profile: IncidenceProfile, c_prime: int = 125
+def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = 125
              ) -> list[BoundReport]:
-    """f(k) <= st_threshold(n, k, c') for every k up to the max multiplicity.
+    """f(k) <= st_threshold(n, k, c') for every (k, f(k)) of the spectrum of
+    an n-point set, k = 2 up to the max multiplicity.
 
     Theorem-backed: a violation signals an implementation bug, never a
     property of the input.
     """
-    n = len(P)
     if n < 2:
         raise ValueError("check_st requires at least 2 points")
     reports = []
-    for k in range(2, profile.max_multiplicity + 1):
-        fk = spectrum_f(profile, k)
+    for k, fk in spectrum:
         thr = st_threshold(n, k, c_prime)
         reports.append(BoundReport(
             name=f"line-richness f({k})",
@@ -71,28 +74,21 @@ def check_st(P: PointSet, profile: IncidenceProfile, c_prime: int = 125
 
 
 def count_incidences(P: PointSet, lines: list[CanonicalLine]) -> int:
-    """Point-line incidences, each tested in integers as a*X + b*Y + c*W == 0
-    on the point's homogeneous triple (X, Y, W) = (x*W, y*W, W), where
-    W = lcm of the denominators of x and y."""
-    homogeneous = []
-    for p in P:
-        w = lcm(p.x.denominator, p.y.denominator)
-        homogeneous.append((p.x.numerator * (w // p.x.denominator),
-                            p.y.numerator * (w // p.y.denominator), w))
-    return sum(1 for l in lines for x, y, w in homogeneous if l.a * x + l.b * y + l.c * w == 0)
+    """Incidences between P and distinct lines, each tested in integers as
+    a*X + b*Y + c*W == 0 on the point's homogeneous triple."""
+    if len(set(lines)) != len(lines):
+        raise ValueError("duplicate lines")
+    return sum(1 for l in lines for x, y, w in P.homogeneous
+               if l.a * x + l.b * y + l.c * w == 0)
 
 
-def check_incidence_bound(P: PointSet, lines: list[CanonicalLine]) -> BoundReport:
-    """I <= 2.5*m^(2/3)*n^(2/3) + m + n, decided in exact integer arithmetic.
+def check_incidence_bound(n: int, m: int, inc: int) -> BoundReport:
+    """I <= 2.5*m^(2/3)*n^(2/3) + m + n for inc = I incidences between n
+    points and m distinct lines, decided in exact integer arithmetic.
 
     With D = I - m - n, the verdict for D > 0 is 8*D^3 <= 125*(m*n)^2,
     the cube of 2D <= 5*(mn)^(2/3); no float enters the comparison.
     """
-    if len(set(lines)) != len(lines):
-        raise ValueError("duplicate lines")
-    n = len(P)
-    m = len(lines)
-    inc = count_incidences(P, lines)
     excess = inc - m - n
     satisfied = excess <= 0 or 8 * excess ** 3 <= 125 * (m * n) ** 2
     # report threshold as the cubed comparison to stay exact
@@ -113,11 +109,9 @@ def eg_lower_bound(n: int, m: int) -> Fraction:
     return Fraction(m * (4 * m - n * n), 3 * n)
 
 
-def check_eg(g, instance: str = "") -> BoundReport:
-    """t3(G) >= m*(4m - n^2)/(3n); theorem-backed for every simple graph."""
-    n = g.n
-    m = g.edge_count
-    t3 = count_triangles(g)
+def check_eg(n: int, m: int, t3: int, instance: str = "") -> BoundReport:
+    """t3(G) >= m*(4m - n^2)/(3n) for a graph G with n vertices, m edges and
+    t3 triangles; theorem-backed for every simple graph."""
     lower = eg_lower_bound(n, m) if n >= 1 else Fraction(0)
     # checked <= threshold convention: the derived lower bound is the
     # constrained quantity, the observed triangle count the ceiling
@@ -139,28 +133,27 @@ def derive_constants(c_prime: int) -> Constants:
     return Constants.for_c(96 * c_prime, c_prime)
 
 
-def check_medium_sum(profile: IncidenceProfile, constants: Constants
+def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
                      ) -> list[BoundReport]:
-    """Sum of C(l_i, 2) over the medium lines (c < l_i <= alpha*n) against
+    """Sum of C(l_i, 2) over the medium lines (c < l_i <= alpha*n) of an
+    n-point set with count_by_mult[l] lines of l points, against
     24*c'*n^2/(c+1), plus the two dyadic halves against 8 and 16 times
     c'*n^2/(c+1).
 
-    Precondition (the poor-graph case hypothesis): no line exceeds alpha*n.
+    Precondition (the poor-graph case hypothesis): no line exceeds alpha*n,
+    so every line above c is medium.
     """
     c = constants.c
     c_prime = constants.c_prime
     if c_prime is None:
         raise ValueError("check_medium_sum needs constants with c_prime bound")
-    n = profile.n
-    alpha_n = constants.alpha * n
-    if any(l > alpha_n for l in profile.entries.values()):
+    if constants.exceeds_alpha_n(max(count_by_mult, default=0), n):
         raise ValueError("case (ii) hypothesis fails: a line exceeds alpha*n")
-    mults = list(profile.entries.values())
     unit = Fraction(c_prime * n * n, c + 1)
     # sqrt(n) split decided exactly via l*l <= n
-    low = sum(comb(l, 2) for l in mults if c < l and l * l <= n)
-    high = sum(comb(l, 2) for l in mults if l * l > n and l <= alpha_n)
-    combined = sum(comb(l, 2) for l in mults if c < l <= alpha_n)
+    low = sum(comb(l, 2) * k for l, k in count_by_mult.items() if c < l and l * l <= n)
+    high = sum(comb(l, 2) * k for l, k in count_by_mult.items() if c < l and l * l > n)
+    combined = sum(comb(l, 2) * k for l, k in count_by_mult.items() if c < l)
     if combined != low + high:
         raise InvariantError("medium-line pair sum differs from its two dyadic halves")
     instance = f"n={n} c={c} c'={c_prime}"
@@ -176,7 +169,7 @@ def check_medium_sum(profile: IncidenceProfile, constants: Constants
                     satisfied=high <= 16 * unit),
     ]
     # corollary on the poor-graph edge count
-    poor_edges = sum(comb(l, 2) for l in mults if l <= c)
+    poor_edges = sum(comb(l, 2) * k for l, k in count_by_mult.items() if l <= c)
     floor_edges = Fraction(comb(n, 2)) - 24 * unit
     reports.append(BoundReport(
         name="poor-graph edge floor", instance=instance,

@@ -23,7 +23,6 @@ from .incidence import (
     InvariantError,
     PointSet,
     classify_degeneracy,
-    enumerate_lines,
     line_census,
 )
 from .pointfile import PointFileError, format_points, parse_points
@@ -202,34 +201,38 @@ def cmd_find(args) -> int:
 def cmd_verify_bounds(args) -> int:
     started = time.perf_counter()
     P = _read_points(args.input)
-    if len(P) < 2:
+    n = len(P)
+    if n < 2:
         raise PointFileError("need at least 2 points to verify bounds")
     constants = Constants.for_c(args.c, args.c_prime)
-    profile = enumerate_lines(P)
-    reports = list(bounds.check_st(P, profile, args.c_prime))
-    reports.append(bounds.check_incidence_bound(P, list(profile.entries)))
-    poor = triangles.build_poor_graph(P, profile, args.c)
-    reports.append(bounds.check_eg(poor, instance=f"poor graph n={poor.n} c={args.c}"))
+    # every bound reads this one census: its lines are the determined lines,
+    # each holding exactly its multiplicity l of points
+    census = line_census(P, rich_threshold=args.c)
+    hist = census.count_by_mult
+    reports = bounds.check_st(n, census.spectrum_table(), args.c_prime)
+    reports.append(bounds.check_incidence_bound(
+        n, census.line_count, sum(l * k for l, k in hist.items())))
+    edges, t3 = triangles.poor_graph_size(P, args.c, census)
+    reports.append(bounds.check_eg(n, edges, t3, instance=f"poor graph n={n} c={args.c}"))
     skipped = []
-    alpha_n = constants.alpha * len(P)
-    if any(l > alpha_n for l in profile.entries.values()):
+    if constants.exceeds_alpha_n(census.max_multiplicity, n):
         skipped.append({"name": "medium-line pair sum",
                         "reason": "skipped: rich line present (l_i > alpha*n)"})
     else:
-        reports.extend(bounds.check_medium_sum(profile, constants))
+        reports.extend(bounds.check_medium_sum(n, hist, constants))
     reports.sort(key=lambda r: r.name)
     all_ok = all(r.satisfied for r in reports)
     report = {
         "version": REPORT_VERSION,
         "command": "verify-bounds",
         "parameters": {"input": args.input, "c": args.c, "c_prime": args.c_prime},
-        "n": len(P),
+        "n": n,
         "constants": {"c": constants.c, "c_prime": constants.c_prime,
                       "alpha": _frac_str(constants.alpha),
                       "dyadic_sum_constants": {
-                          "below_sqrt_n": _frac_str(Fraction(8 * args.c_prime * len(P) ** 2,
+                          "below_sqrt_n": _frac_str(Fraction(8 * args.c_prime * n * n,
                                                              args.c + 1)),
-                          "above_sqrt_n": _frac_str(Fraction(16 * args.c_prime * len(P) ** 2,
+                          "above_sqrt_n": _frac_str(Fraction(16 * args.c_prime * n * n,
                                                              args.c + 1)),
                       }},
         "bounds": [_bound_json(r) for r in reports],

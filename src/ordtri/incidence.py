@@ -81,6 +81,18 @@ class PointSet:
         pts = [(int(p.x * sx), int(p.y * sy)) for p in self.points]
         return pts, sx, sy
 
+    @cached_property
+    def homogeneous(self) -> list[tuple[int, int, int]]:
+        """Each point as the integer triple (X, Y, W) = (x*W, y*W, W), with
+        W = lcm of the denominators of x and y; a line (a, b, c) holds the
+        point iff a*X + b*Y + c*W == 0."""
+        out = []
+        for p in self.points:
+            w = lcm(p.x.denominator, p.y.denominator)
+            out.append((p.x.numerator * (w // p.x.denominator),
+                        p.y.numerator * (w // p.y.denominator), w))
+        return out
+
 
 def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
     """Primitive sign-normalized triple of the line through two scaled points."""
@@ -349,7 +361,8 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
         normals = _normals(xi, yi, pts[i + 1:])
         groups = Counter(normals)
         group_size_hist.update(groups.values())
-        if rich_threshold is not None:
+        largest = max(groups.values())
+        if rich_threshold is not None and largest >= rich_threshold:
             owned = {}
             for (a, b), size in groups.items():
                 if size >= rich_threshold:
@@ -364,12 +377,11 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
                 for normal, key in owned.items():
                     rich_seen[key] = tuple(found[normal])
         if top:
-            size = max(groups.values())
-            if size > top_size:
-                top_size, top_best = size, None
-            if size == top_size:
+            if largest > top_size:
+                top_size, top_best = largest, None
+            if largest == top_size:
                 for (a, b), s in groups.items():
-                    if s == size:
+                    if s == largest:
                         key = (a, b, -(a * xi + b * yi))
                         triple = _unscale(key, sx, sy)
                         if top_best is None or triple < top_best[0]:

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Optional
 
@@ -29,7 +29,6 @@ from .incidence import (
     _scaled_line_key,
     _scaled_multiplicities,
     classify_degeneracy,
-    enumerate_lines,
     find_ordinary_line,
     line_census,
 )
@@ -63,6 +62,10 @@ class Constants:
     def for_c(cls, c: int, c_prime: Optional[int] = None) -> "Constants":
         return cls(c=c, alpha=Fraction(4, c + 1), c_prime=c_prime)
 
+    def exceeds_alpha_n(self, l: int, n: int) -> bool:
+        """l > alpha*n, decided in integers as (c+1)*l > 4*n."""
+        return (self.c + 1) * l > 4 * n
+
 
 DEFAULT_C_PRIME = 125
 DEFAULT_CONSTANTS = Constants.for_c(96 * DEFAULT_C_PRIME, DEFAULT_C_PRIME)  # c = 12000
@@ -78,12 +81,6 @@ class PoorGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v > u:
-                    yield (u, v)
 
 
 def count_triangles(g) -> int:
@@ -182,53 +179,72 @@ def enumerate_all_c_ordinary(P: PointSet, c: int, limit: Optional[int] = None
     return count, out
 
 
-def build_poor_graph(P: PointSet, profile: IncidenceProfile, c: int) -> PoorGraph:
-    """The graph G with an edge for every pair whose line has <= c points."""
+def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> PoorGraph:
+    """The graph G with an edge for every pair whose line has <= c points:
+    the complete graph minus the cliques of the rich lines.  Two lines share
+    at most one point, so no pair is on two rich lines and G is exact.
+    census must be line_census(P, rich_threshold=c)."""
     n = len(P)
-    pts, _, _ = P.scaled_ints
-    mult = _scaled_multiplicities(P)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n - 1):
-        x1, y1 = pts[i]
-        for j in range(i + 1, n):
-            if mult[_scaled_line_key(x1, y1, *pts[j])] <= c:
-                adj[i].append(j)
-                adj[j].append(i)
-    g = PoorGraph(n=n, adj=tuple(tuple(sorted(a)) for a in adj))
-    expected = sum(comb(l, 2) for l in profile.entries.values() if l <= c)
+    if census.n != n or census.rich_threshold != c:
+        raise ValueError(f"build_poor_graph needs the census of P with rich_threshold={c}")
+    homogeneous = P.homogeneous
+    blocked = [{i} for i in range(n)]
+    for line, _ in census.rich:
+        members = census.members[line]
+        for i in members:
+            x, y, w = homogeneous[i]
+            if line.a * x + line.b * y + line.c * w != 0:
+                raise InvariantError(f"point {i} is listed on the rich line "
+                                     f"{line.triple()} but does not lie on it")
+            blocked[i].update(members)
+    g = PoorGraph(n=n, adj=tuple(tuple(j for j in range(n) if j not in blocked[i])
+                                 for i in range(n)))
+    expected = sum(comb(l, 2) * k for l, k in census.count_by_mult.items() if l <= c)
     if g.edge_count != expected:
         raise InvariantError(f"poor-graph edge identity violated: {g.edge_count} edges, "
-                             f"the profile gives {expected}")
+                             f"the census gives {expected}")
     return g
 
 
-def find_case_poor_graph(P: PointSet, profile: IncidenceProfile, c: int,
+def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
                          limit: Optional[int] = None
                          ) -> tuple[list[tuple[int, int, int]], int]:
-    """Enumerate poor-graph triangles by sorted-adjacency intersection and
-    drop collinear triples.  The surviving count is exactly the number of
-    c-ordinary triangles."""
-    g = build_poor_graph(P, profile, c)
+    """List poor-graph triangles by sorted-adjacency intersection, dropping
+    collinear triples, up to limit of them; the count of c-ordinary
+    triangles comes from count_c_ordinary on the same census.  A listing
+    that ran to its end must match that count."""
+    g = build_poor_graph(P, census, c)
+    count = count_c_ordinary(P, c, census)
     pts, _, _ = P.scaled_ints
-    n = g.n
     adj_sets = [set(a) for a in g.adj]
-    count = 0
-    out: list[tuple[int, int, int]] = []
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in g.adj[i]:
-            if j <= i:
-                continue
-            dxj = pts[j][0] - xi
-            dyj = pts[j][1] - yi
-            for k in sorted(adj_sets[i] & adj_sets[j]):
-                if k <= j:
+
+    def listed():
+        for i in range(g.n):
+            xi, yi = pts[i]
+            for j in g.adj[i]:
+                if j <= i:
                     continue
-                if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
-                    count += 1
-                    if limit is None or len(out) < limit:
-                        out.append((i, j, k))
+                dxj = pts[j][0] - xi
+                dyj = pts[j][1] - yi
+                for k in sorted(adj_sets[i] & adj_sets[j]):
+                    if k > j and dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
+                        yield (i, j, k)
+
+    out = list(islice(listed(), limit))
+    if (limit is None or len(out) < limit) and len(out) != count:
+        raise InvariantError(f"{len(out)} poor-graph triangles listed, "
+                             f"count_c_ordinary gives {count}")
     return out, count
+
+
+def poor_graph_size(P: PointSet, c: int, census: LineCensus) -> tuple[int, int]:
+    """Edges and triangles of the poor graph G, without building G, from
+    census = line_census(P, rich_threshold=c): C(l,2) edges per poor line,
+    and the c-ordinary triangles plus the C(l,3) collinear ones per poor line
+    (a collinear triple lies on one line)."""
+    poor = [(l, k) for l, k in census.count_by_mult.items() if l <= c]
+    return (sum(comb(l, 2) * k for l, k in poor),
+            count_c_ordinary(P, c, census) + sum(comb(l, 3) * k for l, k in poor))
 
 
 def find_case_rich_line(P: PointSet, census: LineCensus, c: int
@@ -247,7 +263,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         raise RichCasePreconditionError("census of P without its top line")
     on_idx = census.members[rich_line]
     l_i = len(on_idx)
-    if (c + 1) * l_i <= 4 * n:  # l_i <= alpha*n with alpha = 4/(c+1)
+    if not Constants.for_c(c).exceeds_alpha_n(l_i, n):
         raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
     on_set = set(on_idx)
     rest = PointSet(tuple(p for i, p in enumerate(P) if i not in on_set))
@@ -350,9 +366,13 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
                 count), else full poor-graph enumeration (exact); an empty
                 fast result falls back to the brute-force oracle so that a
                 non-empty report is equivalent to existence.
-    exhaustive: full poor-graph enumeration with collinear filtering (exact,
-                independently cross-checkable against the oracle).
+    exhaustive: poor-graph listing with collinear filtering, up to limit
+                triangles; the exact count comes from count_c_ordinary, and
+                a listing that runs to its end must match it.
     count:      exact count without materializing any triangle list.
+
+    Every mode runs one line_census(P, rich_threshold=c); the rich-line
+    path adds one census of the points off the line.
 
     Degenerate inputs are classified and still searched exhaustively:
     triangles may exist below the theorem's regime.
@@ -365,8 +385,7 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     n = len(P)
     classification = classify_degeneracy(P)
     tag = classification.tag
-    census = line_census(P, rich_threshold=c if mode == "count" else None,
-                         top=mode == "fast") if n >= 2 else None
+    census = line_census(P, rich_threshold=c, top=mode == "fast") if n >= 2 else None
     spectrum = tuple(census.spectrum_table()) if census else ()
 
     def report(case, triangles, count, exact, witness=None):
@@ -385,7 +404,7 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
 
     # fast mode: rich dispatch on l_i > alpha*n for the line of maximum
     # multiplicity, ties broken by canonical triple order
-    if mode == "fast" and (c + 1) * len(census.members[census.top]) > 4 * n:
+    if mode == "fast" and constants.exceeds_alpha_n(len(census.members[census.top]), n):
         try:
             witness, tris = find_case_rich_line(P, census, c)
         except RichCasePreconditionError:
@@ -396,8 +415,7 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
                 return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)
             count, tris = enumerate_all_c_ordinary(P, c, limit)
             return report(CaseTaken.BRUTE_FORCE_FALLBACK, tris, count, True)
-    profile = enumerate_lines(P)
-    tris, count = find_case_poor_graph(P, profile, c, limit)
+    tris, count = find_case_poor_graph(P, census, c, limit)
     if mode == "fast" and count == 0:
         # poor-path zero is already exact, but re-confirm through the oracle:
         # the non-empty-iff-exists contract must not rest on a single path

@@ -17,7 +17,7 @@ from ordtri.bounds import (
     check_eg,
     check_incidence_bound,
     check_st,
-    count_triangles,
+    count_incidences,
     derive_constants,
     eg_lower_bound,
 )
@@ -37,10 +37,12 @@ from ordtri.incidence import (
     find_ordinary_line,
     line_census,
     points_on_line,
+    spectrum_table,
 )
 from ordtri.triangles import (
     Constants,
     build_poor_graph,
+    count_triangles,
     enumerate_all_c_ordinary,
     find_c_ordinary,
     line_through,
@@ -151,7 +153,7 @@ def test_criterion_02_pair_sum_identity(random_sets):
 def test_criterion_03_richness_threshold(corpus):
     checked = 0
     for name, P in corpus:
-        reports = check_st(P, enumerate_lines(P))
+        reports = check_st(len(P), spectrum_table(enumerate_lines(P)))
         assert all(r.satisfied for r in reports), name
         checked += len(reports)
     ok(3, f"f(k) <= threshold(n,k,125) for all {checked} (instance, k) pairs "
@@ -162,7 +164,8 @@ def test_criterion_04_incidence_bound(corpus):
     t0 = time.perf_counter()
     for name, P in corpus:
         lines = list(enumerate_lines(P).entries)
-        assert check_incidence_bound(P, lines).satisfied, name
+        assert check_incidence_bound(len(P), len(lines),
+                                     count_incidences(P, lines)).satisfied, name
     elapsed = time.perf_counter() - t0
     # generous: integer incidence tests take seconds, Fraction tests minutes
     assert elapsed < 60
@@ -188,14 +191,14 @@ def test_criterion_05_triangle_lower_bound(corpus):
                     edges[u].append(v)
                     edges[v].append(u)
         g = PoorGraph(n=n, adj=tuple(tuple(e) for e in edges))
-        assert check_eg(g).satisfied
+        assert check_eg(n, g.edge_count, count_triangles(g)).satisfied
         graphs += 1
 
     poor = 0
     for name, P in corpus:
-        prof = enumerate_lines(P)
         for c in C_VALUES:
-            assert check_eg(build_poor_graph(P, prof, c)).satisfied, (name, c)
+            g = build_poor_graph(P, line_census(P, rich_threshold=c), c)
+            assert check_eg(g.n, g.edge_count, count_triangles(g)).satisfied, (name, c)
             poor += 1
     ok(5, f"t3(K4)=4 tight; bound satisfied on {graphs} random graphs and "
           f"{poor} poor graphs")

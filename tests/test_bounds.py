@@ -12,13 +12,12 @@ from ordtri.bounds import (
     check_medium_sum,
     check_st,
     count_incidences,
-    count_triangles,
     derive_constants,
     eg_lower_bound,
     st_threshold,
 )
-from ordtri.incidence import PointSet, enumerate_lines
-from ordtri.triangles import Constants, PoorGraph, build_poor_graph
+from ordtri.incidence import PointSet, enumerate_lines, line_census, spectrum_table
+from ordtri.triangles import Constants, PoorGraph, build_poor_graph, count_triangles
 from ordtri.generators import gen_grid, gen_projection_augmented, gen_random
 from ordtri.geom import CanonicalLine
 
@@ -39,6 +38,22 @@ def random_graph(n, p, seed):
     rng = random.Random(seed)
     return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
+
+
+def eg_of(g):
+    return check_eg(g.n, g.edge_count, count_triangles(g))
+
+
+def st_of(P):
+    return check_st(len(P), spectrum_table(enumerate_lines(P)))
+
+
+def incidence_bound_of(P, lines):
+    return check_incidence_bound(len(P), len(lines), count_incidences(P, lines))
+
+
+def medium_sum_of(prof, constants):
+    return check_medium_sum(prof.n, prof.multiplicity_histogram(), constants)
 
 
 class TestStThreshold:
@@ -62,7 +77,7 @@ class TestStThreshold:
 class TestCheckSt:
     def test_grid3(self):
         P = gen_grid(3)
-        reports = check_st(P, enumerate_lines(P))
+        reports = st_of(P)
         by_name = {r.name: r for r in reports}
         assert by_name["line-richness f(3)"].checked == 8
         assert by_name["line-richness f(3)"].threshold == 375
@@ -70,7 +85,7 @@ class TestCheckSt:
 
     def test_ten_collinear(self):
         P = PointSet.of([(i, 0) for i in range(10)])
-        reports = check_st(P, enumerate_lines(P))
+        reports = st_of(P)
         top = [r for r in reports if r.name == "line-richness f(10)"][0]
         # k = 10 > sqrt(10): the n/k branch applies, 125 * 10 / 10
         assert top.checked == 1 and top.threshold == 125
@@ -79,14 +94,14 @@ class TestCheckSt:
     @pytest.mark.parametrize("seed", range(10))
     def test_theorem_holds_on_random(self, seed):
         P = gen_random(40, 40, seed)
-        assert all(r.satisfied for r in check_st(P, enumerate_lines(P)))
+        assert all(r.satisfied for r in st_of(P))
 
 
 class TestIncidenceBound:
     def test_single_incidence(self):
         from ordtri.geom import CanonicalLine
         P = PointSet.of([(0, 0), (5, 5)])
-        r = check_incidence_bound(P, [CanonicalLine(0, 1, 0)])
+        r = incidence_bound_of(P, [CanonicalLine(0, 1, 0)])
         assert r.satisfied and r.details["incidences"] == 1
 
     def test_grid3_all_determined_lines(self):
@@ -94,23 +109,23 @@ class TestIncidenceBound:
         prof = enumerate_lines(P)
         lines = list(prof.entries)
         assert count_incidences(P, lines) == 8 * 3 + 12 * 2 == 48
-        assert check_incidence_bound(P, lines).satisfied
+        assert incidence_bound_of(P, lines).satisfied
 
     def test_no_lines(self):
         P = gen_grid(2)
-        r = check_incidence_bound(P, [])
+        r = incidence_bound_of(P, [])
         assert r.satisfied and r.details["incidences"] == 0
 
     def test_duplicate_lines_rejected(self):
         from ordtri.geom import CanonicalLine
         with pytest.raises(ValueError):
-            check_incidence_bound(gen_grid(2), [CanonicalLine(0, 1, 0)] * 2)
+            count_incidences(gen_grid(2), [CanonicalLine(0, 1, 0)] * 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_theorem_holds_on_random(self, seed):
         P = gen_random(30, 30, seed)
         prof = enumerate_lines(P)
-        assert check_incidence_bound(P, list(prof.entries)).satisfied
+        assert incidence_bound_of(P, list(prof.entries)).satisfied
 
     @pytest.mark.parametrize("P", [
         gen_random(40, 50, 3),
@@ -130,7 +145,7 @@ class TestIncidenceBound:
 class TestEgBound:
     def test_k4_tight(self):
         assert eg_lower_bound(4, 6) == 4
-        r = check_eg(complete_graph(4))
+        r = eg_of(complete_graph(4))
         assert r.satisfied and r.details["triangles"] == 4 and r.checked == 4
 
     def test_empty_graph(self):
@@ -138,7 +153,7 @@ class TestEgBound:
 
     def test_vacuous_negative(self):
         assert eg_lower_bound(100, 2000) < 0
-        r = check_eg(random_graph(100, 0.3, 1))
+        r = eg_of(random_graph(100, 0.3, 1))
         assert r.satisfied
 
     def test_rejects_n0(self):
@@ -149,20 +164,19 @@ class TestEgBound:
     def test_random_graphs(self, seed):
         rng = random.Random(seed)
         g = random_graph(rng.randrange(2, 60), rng.random(), seed + 100)
-        assert check_eg(g).satisfied
+        assert eg_of(g).satisfied
 
     def test_dense_nonvacuous(self):
         for n in (6, 10, 14):
             g = complete_graph(n)
-            r = check_eg(g)
+            r = eg_of(g)
             assert r.satisfied and not r.vacuous
 
     def test_poor_graph_pipeline(self):
         for seed in range(5):
             P = gen_random(30, 35, seed)
-            prof = enumerate_lines(P)
-            g = build_poor_graph(P, prof, 5)
-            assert check_eg(g).satisfied
+            g = build_poor_graph(P, line_census(P, rich_threshold=5), 5)
+            assert eg_of(g).satisfied
 
 
 class TestCountTriangles:
@@ -206,7 +220,7 @@ class TestMediumSum:
         P = gen_random(20, 10 ** 6, 5)
         prof = enumerate_lines(P)
         assert prof.max_multiplicity == 2  # verified, not assumed
-        reports = check_medium_sum(prof, Constants.for_c(3, 125))
+        reports = medium_sum_of(prof, Constants.for_c(3, 125))
         assert all(r.satisfied for r in reports)
         assert reports[0].checked == 0
 
@@ -216,7 +230,7 @@ class TestMediumSum:
         # spectrum the c=2-style sum 8 * C(3,2) = 24 is checked via census
         mults = list(prof.entries.values())
         assert sum(comb(l, 2) for l in mults if l > 2) == 24
-        reports = check_medium_sum(prof, Constants.for_c(3, 125))
+        reports = medium_sum_of(prof, Constants.for_c(3, 125))
         assert all(r.satisfied for r in reports)
 
     def test_precondition_rich_line(self):
@@ -224,7 +238,16 @@ class TestMediumSum:
         P = PointSet.of([(i, 0) for i in range(9)] + [(0, 1)])
         prof = enumerate_lines(P)
         with pytest.raises(ValueError):
-            check_medium_sum(prof, Constants.for_c(7, 125))
+            medium_sum_of(prof, Constants.for_c(7, 125))
+
+    def test_dyadic_halves_count_only_lines_above_c(self):
+        # the 4-point line has l*l > n = 9: medium above sqrt n at c = 3,
+        # not medium at all at c = 5
+        P = PointSet.of([(i, 0) for i in range(4)] + [(0, 1), (1, 2), (3, 5), (7, 2), (5, 9)])
+        prof = enumerate_lines(P)
+        assert prof.max_multiplicity == 4
+        assert [r.checked for r in medium_sum_of(prof, Constants.for_c(3, 125))[:3]] == [6, 0, 6]
+        assert [r.checked for r in medium_sum_of(prof, Constants.for_c(5, 125))[:3]] == [0, 0, 0]
 
     def test_edge_floor_corollary(self):
         for seed in range(5):
@@ -233,6 +256,6 @@ class TestMediumSum:
             const = Constants.for_c(5, 125)
             if any((const.c + 1) * l > 4 * len(P) for l in prof.entries.values()):
                 continue
-            reports = check_medium_sum(prof, const)
+            reports = medium_sum_of(prof, const)
             floor = [r for r in reports if r.name == "poor-graph edge floor"][0]
             assert floor.satisfied

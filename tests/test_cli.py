@@ -209,6 +209,15 @@ class TestVerifyBounds:
         assert code == 0 and rep["all_satisfied"]
         assert rep["constants"]["alpha"] == "1"
 
+    def test_line_of_alpha_n_points_keeps_medium_sum(self, capsys, tmp_path):
+        # alpha*n = 4*10/8 = 5 points on the x-axis: not above alpha*n
+        f = tmp_path / "alpha.txt"
+        f.write_text("".join(f"{i} 0\n" for i in range(5))
+                     + "0 1\n1 3\n3 7\n6 2\n2 11\n")
+        code, rep = run_json(capsys, "verify-bounds", str(f), "--c", "7")
+        assert code == 0 and rep["skipped"] == []
+        assert sum(b["name"].startswith("medium-line") for b in rep["bounds"]) == 3
+
     def test_rich_line_skips_medium_sum(self, capsys, tmp_path):
         f = tmp_path / "col.txt"
         f.write_text("".join(f"{i} 0\n" for i in range(9)) + "0 1\n")
@@ -255,17 +264,27 @@ class TestExitPaths:
         assert err == "invariant violated: pair-sum identity violated by the census\n"
 
     def test_invariant_checks_survive_optimize(self):
-        # a profile of another point set breaks the poor-graph edge identity
-        script = ("from ordtri import InvariantError, build_poor_graph, enumerate_lines, gen_grid\n"
+        # the census of another set of the same size lists rich-line members
+        # that are off those lines in P; a census whose histogram disagrees
+        # with its members breaks the poor-graph edge identity
+        script = ("import dataclasses\n"
+                  "from ordtri import InvariantError, PointSet, build_poor_graph, gen_grid, line_census\n"
                   "assert False, 'asserts are on'\n"
-                  "try:\n"
-                  "    build_poor_graph(gen_grid(3), enumerate_lines(gen_grid(4)), 3)\n"
-                  "except InvariantError as exc:\n"
-                  "    print('raised:', exc)\n")
+                  "P = gen_grid(4)\n"
+                  "shifted = PointSet.of([(p.x + 1, p.y) for p in P])\n"
+                  "census = line_census(P, rich_threshold=3)\n"
+                  "skewed = dataclasses.replace(census, count_by_mult={2: 25, 3: 8})\n"
+                  "for other in (line_census(shifted, rich_threshold=3), skewed):\n"
+                  "    try:\n"
+                  "        build_poor_graph(P, other, 3)\n"
+                  "    except InvariantError as exc:\n"
+                  "        print('raised:', exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: poor-graph edge identity violated")
+        first, second = proc.stdout.splitlines()
+        assert first.startswith("raised: point 0 is listed on the rich line")
+        assert second.startswith("raised: poor-graph edge identity violated")
 
     def test_broken_pipe_exits_141_silently(self, tmp_path):
         path = tmp_path / "grid8.txt"

@@ -1,11 +1,14 @@
-"""Golden `find` reports: byte-identical output on fixed inputs.
+"""Golden `find` and `verify-bounds` reports: byte-identical output on fixed
+inputs.
 
-Each report under tests/data was written by `ordtri find <input> <options>`
-run in tests/data, with the `timing_seconds` line removed.  The inputs are
-gen_rich_line_plus(14, [(0, 1), (1, 3), (3, 7), (5, -2)]), a projection set
-on a rational base (its lowest ordinary line off the augmentation line
-differs between scaled-coordinate and original-coordinate triples),
-gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
+Each report under tests/data was written by `ordtri <command> <input>
+<options>` run in tests/data, with the `timing_seconds` line removed.  The
+inputs are gen_rich_line_plus(14, [(0, 1), (1, 3), (3, 7), (5, -2)]), a
+projection set on a rational base (its lowest ordinary line off the
+augmentation line differs between scaled-coordinate and original-coordinate
+triples), gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
+A `find` report is named after the input and its options, a `verify-bounds`
+report after the input, the command and its options.
 """
 import re
 from pathlib import Path
@@ -16,13 +19,20 @@ from ordtri.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-RUNS = [
+FIND_RUNS = [
     ("rich", []), ("rich", ["--mode", "count"]),
     ("projection", []), ("projection", ["--mode", "count"]),
     ("grid6", ["--c", "3", "--limit", "12"]), ("grid6", ["--c", "3", "--mode", "count"]),
+    ("grid6", ["--c", "3", "--mode", "exhaustive", "--limit", "12"]),
     ("grid6", []), ("grid6", ["--mode", "count"]),
     ("random60", []), ("random60", ["--mode", "count"]),
+    ("random60", ["--c", "5", "--mode", "exhaustive"]),
     ("cubic", []), ("cubic", ["--mode", "count"]),
+]
+
+VERIFY_BOUNDS_RUNS = [
+    ("projection", []), ("grid6", ["--c", "3"]), ("grid6", []),
+    ("random60", ["--c", "5"]), ("cubic", []),
 ]
 
 
@@ -30,12 +40,23 @@ def golden_name(name, options):
     return "-".join([name] + [o.lstrip("-") for o in options]) + ".json"
 
 
-@pytest.mark.parametrize("name, options", RUNS,
-                         ids=[golden_name(n, o)[:-5] for n, o in RUNS])
-def test_find_report_matches_golden(name, options, capsys, monkeypatch):
+def check_golden(command, name, options, capsys, monkeypatch):
     monkeypatch.chdir(DATA)
-    assert main(["find", f"{name}.txt", *options]) == 0
+    assert main([command, f"{name}.txt", *options]) == 0
     report, removed = re.subn(r',\n  "timing_seconds": [^\n]*\n}\n$', "\n}\n",
                               capsys.readouterr().out)
     assert removed == 1
-    assert report == (DATA / golden_name(name, options)).read_text()
+    stem = name if command == "find" else f"{name}-{command}"
+    assert report == (DATA / golden_name(stem, options)).read_text()
+
+
+@pytest.mark.parametrize("name, options", FIND_RUNS,
+                         ids=[golden_name(n, o)[:-5] for n, o in FIND_RUNS])
+def test_find_report_matches_golden(name, options, capsys, monkeypatch):
+    check_golden("find", name, options, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name, options", VERIFY_BOUNDS_RUNS,
+                         ids=[golden_name(n, o)[:-5] for n, o in VERIFY_BOUNDS_RUNS])
+def test_verify_bounds_report_matches_golden(name, options, capsys, monkeypatch):
+    check_golden("verify-bounds", name, options, capsys, monkeypatch)

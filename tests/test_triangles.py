@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ordtri.geom import CanonicalLine, line_through, orientation, point
 from ordtri.incidence import (
     DegeneracyTag,
+    InvariantError,
     PointSet,
     enumerate_lines,
     line_census,
@@ -20,10 +21,12 @@ from ordtri.triangles import (
     RichCasePreconditionError,
     build_poor_graph,
     count_c_ordinary,
+    count_triangles,
     enumerate_all_c_ordinary,
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
+    poor_graph_size,
     validate_c_ordinary,
 )
 from ordtri.generators import (
@@ -110,16 +113,16 @@ class TestOracle:
 
 class TestPoorGraph:
     def test_unit_triangle_k3(self):
-        g = build_poor_graph(UNIT_TRIANGLE, enumerate_lines(UNIT_TRIANGLE), 2)
+        g = build_poor_graph(UNIT_TRIANGLE, line_census(UNIT_TRIANGLE, rich_threshold=2), 2)
         assert g.edge_count == 3
 
     def test_collinear_triple_keeps_edges(self):
         P = PointSet.of([(0, 0), (1, 0), (2, 0)])
-        g = build_poor_graph(P, enumerate_lines(P), 3)
+        g = build_poor_graph(P, line_census(P, rich_threshold=3), 3)
         assert g.edge_count == 3  # triangle exists in G, filtered later
 
     def test_grid_c2_edges(self):
-        g = build_poor_graph(GRID3, GRID3_PROFILE, 2)
+        g = build_poor_graph(GRID3, line_census(GRID3, rich_threshold=2), 2)
         assert g.edge_count == 12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -127,26 +130,90 @@ class TestPoorGraph:
         P = gen_random(25, 30, seed)
         prof = enumerate_lines(P)
         for c in (2, 3, 5):
-            g = build_poor_graph(P, prof, c)
+            g = build_poor_graph(P, line_census(P, rich_threshold=c), c)
             assert g.edge_count == sum(comb(l, 2) for l in prof.entries.values() if l <= c)
 
     def test_poor_path_equals_oracle(self):
         for seed in range(6):
             P = gen_random(50, 10 ** 6, seed)
-            prof = enumerate_lines(P)
-            tris, count = find_case_poor_graph(P, prof, 3)
+            tris, count = find_case_poor_graph(P, line_census(P, rich_threshold=3), 3)
             oracle_count, oracle = enumerate_all_c_ordinary(P, 3)
             assert count == oracle_count and tris == oracle
 
     def test_collinear_filter_bound(self):
-        from ordtri.bounds import count_triangles
+        from ordtri.triangles import count_triangles
         P = gen_random(40, 45, 11)
         prof = enumerate_lines(P)
         for c in (3, 5):
-            g = build_poor_graph(P, prof, c)
-            _, kept = find_case_poor_graph(P, prof, c)
+            census = line_census(P, rich_threshold=c)
+            g = build_poor_graph(P, census, c)
+            _, kept = find_case_poor_graph(P, census, c)
             filtered = count_triangles(g) - kept
             assert filtered <= sum(comb(l, 3) for l in prof.entries.values() if l <= c)
+
+    def test_census_of_another_set_or_threshold_rejected(self):
+        for census in (line_census(gen_grid(4), rich_threshold=3),
+                       line_census(GRID3, rich_threshold=2), line_census(GRID3)):
+            with pytest.raises(ValueError):
+                build_poor_graph(GRID3, census, 3)
+            with pytest.raises(ValueError):
+                find_case_poor_graph(GRID3, census, 3)
+
+    def test_limit_lists_a_prefix_and_counts_all(self):
+        P = gen_grid(5)
+        census = line_census(P, rich_threshold=3)
+        full, count = find_case_poor_graph(P, census, 3)
+        assert count == len(full) == enumerate_all_c_ordinary(P, 3)[0]
+        for limit in (0, 1, 7, count, count + 5):
+            assert find_case_poor_graph(P, census, 3, limit) == (full[:limit], count)
+
+    def test_full_listing_cross_checks_the_counter(self, monkeypatch):
+        import ordtri.triangles
+        P = gen_grid(4)
+        census = line_census(P, rich_threshold=3)
+        real = count_c_ordinary(P, 3, census)
+        monkeypatch.setattr(ordtri.triangles, "count_c_ordinary", lambda *args: real + 1)
+        with pytest.raises(InvariantError, match="listed"):
+            find_case_poor_graph(P, census, 3)
+        with pytest.raises(InvariantError, match="listed"):
+            find_case_poor_graph(P, census, 3, limit=real + 2)
+        tris, count = find_case_poor_graph(P, census, 3, limit=4)  # stopped early
+        assert len(tris) == 4 and count == real + 1
+
+
+def brute_poor_adjacency(P):
+    """For each point, its neighbours in G for every c: the multiplicity of
+    each pair's line by an O(n) collinearity scan, from the definition."""
+    n = len(P)
+    mult = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        mult[i][j] = mult[j][i] = sum(1 for k in range(n)
+                                      if orientation(P[i], P[j], P[k]) == 0)
+    return lambda c: tuple(tuple(j for j in range(n) if j != i and mult[i][j] <= c)
+                           for i in range(n))
+
+
+class TestCensusPoorGraph:
+    """The census-built G and its census-read size against the definition."""
+
+    @pytest.mark.parametrize("P", [
+        *(gen_grid(g) for g in range(3, 9)),
+        *(gen_cubic_progression(m) for m in range(2, 6)),
+        gen_projection_augmented(GRID3, CanonicalLine.of(1, -7, 100)),
+        gen_projection_augmented(gen_random(6, 10 ** 5, 1000),
+                                 CanonicalLine.of(1, -12345, 6789012345)),
+        gen_random(30, 35, 1), gen_random(40, 10 ** 6, 2),
+        gen_two_line_union(4, 5),
+        gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7)]),
+        PointSet.of([(0, 0), (1, 1)]),
+    ])
+    def test_equals_brute_force(self, P):
+        adjacency = brute_poor_adjacency(P)
+        for c in (2, 3, 4, 5, 12000):
+            census = line_census(P, rich_threshold=c)
+            g = build_poor_graph(P, census, c)
+            assert g.adj == adjacency(c), c
+            assert poor_graph_size(P, c, census) == (g.edge_count, count_triangles(g)), c
 
 
 RICH_EXAMPLE = gen_rich_line_plus(10, [(0, 1), (1, 1), (2, 3)])
@@ -355,6 +422,12 @@ class TestDispatch:
     def test_small_c_rejected(self):
         with pytest.raises(ValueError):
             Constants.for_c(2)
+
+    def test_alpha_gate_is_strict(self):
+        # alpha*n = 4n/(c+1); a line of exactly alpha*n points does not exceed it
+        const = Constants.for_c(7)
+        assert not const.exceeds_alpha_n(5, 10) and const.exceeds_alpha_n(6, 10)
+        assert const.exceeds_alpha_n(5, 9) and not const.exceeds_alpha_n(0, 1)
 
     @given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                    min_size=3, max_size=14), st.sampled_from([3, 5]))
