@@ -236,36 +236,38 @@ class DegeneracyClass:
     witness: tuple[CanonicalLine, ...] = ()
 
 
-def _all_on(P: PointSet, l: CanonicalLine, skip: Optional[set[int]] = None) -> bool:
-    return all(incident(l, p) for i, p in enumerate(P) if not skip or i not in skip)
-
-
 def classify_degeneracy(P: PointSet) -> DegeneracyClass:
     """TooSmall / AllCollinear / TwoLineUnion / NonDegenerate with witnesses.
 
     Two-line containment reduces to three candidates: if P sits on two lines,
     two points of any non-collinear triple share a cover line, and those two
     points determine it.  Each candidate is checked by testing whether the
-    points off it are collinear.
+    points off it are collinear, each test a*X + b*Y + c*W == 0 on the
+    point's homogeneous integer triple.
     """
     n = len(P)
     if n < 3:
         return DegeneracyClass(DegeneracyTag.TOO_SMALL)
+    homogeneous = P.homogeneous
+
+    def off(line: CanonicalLine, indices) -> list[int]:
+        a, b, c = line.triple()
+        return [i for i in indices
+                if a * homogeneous[i][0] + b * homogeneous[i][1] + c * homogeneous[i][2]]
+
     base = line_through(P[0], P[1])
-    off = next((i for i in range(2, n) if not incident(base, P[i])), None)
-    if off is None:
+    first_off = off(base, range(2, n))
+    if not first_off:
         return DegeneracyClass(DegeneracyTag.ALL_COLLINEAR, (base,))
-    candidates = [base, line_through(P[0], P[off]), line_through(P[1], P[off])]
-    for cand in candidates:
-        rest = [i for i in range(n) if not incident(cand, P[i])]
-        if not rest:  # cannot happen past the AllCollinear check
-            continue
+    k = first_off[0]
+    for cand in (base, line_through(P[0], P[k]), line_through(P[1], P[k])):
+        rest = off(cand, range(n))
         if len(rest) == 1:
-            anchor = next(i for i in range(n) if incident(cand, P[i]))
+            anchor = next(i for i in range(n) if i != rest[0])  # on cand
             second = line_through(P[rest[0]], P[anchor])
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
         second = line_through(P[rest[0]], P[rest[1]])
-        if all(incident(second, P[i]) for i in rest[2:]):
+        if not off(second, rest[2:]):
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
 

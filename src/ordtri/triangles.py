@@ -83,22 +83,39 @@ class PoorGraph:
         return sum(len(a) for a in self.adj) // 2
 
 
+def _forward_bitsets(g) -> list[int]:
+    """later[u] of a graph (n, sorted adj lists): bit v is set for each
+    neighbour v > u, so every edge is held once, oriented upward."""
+    return [sum(1 << v for v in a if v > u) for u, a in enumerate(g.adj)]
+
+
+def _bit_indices(bits: int):
+    """The positions of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _count_forward_triangles(later: list[int], edges) -> int:
+    """Triangles of a graph from its forward bitsets later (see
+    _forward_bitsets) and its edges, each given once as (u, v) with u < v.
+    A triangle u < v < w shows in later[u] & later[v] at its edge (u, v)
+    only, so it is counted once (Chiba & Nishizeki 1985), by one
+    word-parallel AND and popcount per edge: no Python code runs per
+    triangle."""
+    return sum((later[u] & later[v]).bit_count() for u, v in edges)
+
+
 def count_triangles(g) -> int:
-    """Exact triangle count of a simple undirected graph (n, sorted adj lists)
-    by adjacency-set intersection over the edges."""
-    adj_sets = [set(a) for a in g.adj]
-    total = 0
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if v > u:
-                total += sum(1 for w in adj_sets[u] & adj_sets[v] if w > v)
-    return total
+    """Exact triangle count of a simple undirected graph (n, sorted adj lists)."""
+    return _count_forward_triangles(
+        _forward_bitsets(g), ((u, v) for u, a in enumerate(g.adj) for v in a if v > u))
 
 
 class CaseTaken(Enum):
     RICH_LINE = "RichLine"
     POOR_GRAPH = "PoorGraph"
-    BRUTE_FORCE_FALLBACK = "BruteForceFallback"
     DEGENERATE = "Degenerate"
 
 
@@ -209,25 +226,24 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> PoorGraph:
 def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
                          limit: Optional[int] = None
                          ) -> tuple[list[tuple[int, int, int]], int]:
-    """List poor-graph triangles by sorted-adjacency intersection, dropping
-    collinear triples, up to limit of them; the count of c-ordinary
-    triangles comes from count_c_ordinary on the same census.  A listing
-    that ran to its end must match that count."""
+    """List the poor-graph triangles i < j < k in ascending order, k from
+    the forward bitsets of i and j, dropping collinear triples, up to limit
+    of them; the count of c-ordinary triangles comes from count_c_ordinary
+    on the same census.  A listing that ran to its end must match that
+    count."""
     g = build_poor_graph(P, census, c)
     count = count_c_ordinary(P, c, census)
     pts, _, _ = P.scaled_ints
-    adj_sets = [set(a) for a in g.adj]
+    later = _forward_bitsets(g)
 
     def listed():
         for i in range(g.n):
             xi, yi = pts[i]
-            for j in g.adj[i]:
-                if j <= i:
-                    continue
+            for j in _bit_indices(later[i]):
                 dxj = pts[j][0] - xi
                 dyj = pts[j][1] - yi
-                for k in sorted(adj_sets[i] & adj_sets[j]):
-                    if k > j and dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
+                for k in _bit_indices(later[i] & later[j]):
+                    if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
                         yield (i, j, k)
 
     out = list(islice(listed(), limit))
@@ -254,8 +270,8 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     connection to q or r is itself too rich, and pair every survivor with
     (q, r).  census must come from line_census(P, top=True).
 
-    Emits at least ceil(l/2) - 1 validated triangles, where l is the rich
-    line's multiplicity; the exclusion sets are each strictly below l/4.
+    Emits at least max(ceil(l/2) - 1, 1) validated triangles, where l is the
+    rich line's multiplicity; the exclusion sets are each strictly below l/4.
     """
     n = len(P)
     rich_line = census.top
@@ -293,8 +309,11 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     excluded = too_rich_q | too_rich_r | crossing
     survivors = [i for i in on_idx if i not in excluded]
     guarantee = (l_i + 1) // 2 - 1
-    if len(survivors) < guarantee:
-        raise InvariantError(f"{len(survivors)} survivors below the guarantee {guarantee}")
+    # at l_i = 2 the guarantee is 0, but no apex is too rich (4*|too_rich| < 2)
+    # and crossing holds at most one of the two: a survivor remains for every l_i
+    if len(survivors) < max(guarantee, 1):
+        raise InvariantError(f"{len(survivors)} survivors, the guarantee is "
+                             f"max({guarantee}, 1)")
     triangles = sorted(tuple(sorted((s, qi, ri))) for s in survivors)
     witness = RichCaseWitness(rich_line=rich_line, q=q, r=r,
                               excluded=frozenset(excluded),
@@ -304,7 +323,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
 
 
 def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -> int:
-    """Exact c-ordinary triangle count in O(n^2) time and O(n) memory.
+    """Exact c-ordinary triangle count from one census, listing no triangle.
 
     Works on the multiplicity census: a triple is c-ordinary iff none of its
     three pairs lies on a line with more than c points and the triple is not
@@ -319,8 +338,11 @@ def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -
     without intersecting any two lines.  Three pairwise meeting rich lines
     either pass through one point (C(k_i, 3) such triples at point i) or meet
     at three distinct points, which span a triangle of H: the cross-line
-    term is T(M) - sum C(k_i, 3).  The cost beyond the census is O(n + |M|)
-    plus counting T(M), with no loop over pairs or triples of rich lines.
+    term is T(M) - sum C(k_i, 3).  T(M) takes one AND and popcount of two
+    r-bit forward bitsets per edge of M (r rich lines), so the cost beyond
+    the census is O(n + |M| * r / w) word operations on w-bit words, with
+    no loop over pairs or triples of rich lines and no Python code per
+    triangle of M.
     """
     n = len(P)
     if n < 3:
@@ -344,16 +366,15 @@ def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -
     mults = [mult for _, mult in census.rich]
     m_h = sum(comb(mult, 2) for mult in mults)
     tri_h = sum(comb(mult, 3) for mult in mults)
-    paths = 0
-    meets: list[list[int]] = [[] for _ in mults]
+    # M is the edge-disjoint union of the cliques on the ascending lists
+    # through[i], so their pairs give every edge of M once, as (a, b), a < b
+    later = [0] * len(mults)  # M's forward bitsets
     for lines in through:
-        paths += comb(sum(mults[a] - 1 for a in lines), 2)
-        tri_h -= comb(len(lines), 3)
         for a, b in combinations(lines, 2):
-            meets[a].append(b)
-            meets[b].append(a)
-    # M in PoorGraph's sorted-adjacency form; its vertices are the rich lines
-    tri_h += count_triangles(PoorGraph(n=len(meets), adj=tuple(tuple(sorted(m)) for m in meets)))
+            later[a] |= 1 << b
+    edges = (pair for lines in through for pair in combinations(lines, 2))
+    paths = sum(comb(sum(mults[a] - 1 for a in lines), 2) for lines in through)
+    tri_h += _count_forward_triangles(later, edges) - sum(comb(len(lines), 3) for lines in through)
     no_rich_pair = total - m_h * (n - 2) + paths - tri_h
     return no_rich_pair - collinear_poor
 
@@ -363,9 +384,10 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     """Dispatching finder.
 
     fast:       rich-line path when some line exceeds alpha*n (lower-bound
-                count), else full poor-graph enumeration (exact); an empty
-                fast result falls back to the brute-force oracle so that a
-                non-empty report is equivalent to existence.
+                count, at least one triangle), else the poor-graph listing
+                of exhaustive mode (exact), also when the points off the
+                rich line are collinear.  A report is non-empty iff a
+                c-ordinary triangle exists.
     exhaustive: poor-graph listing with collinear filtering, up to limit
                 triangles; the exact count comes from count_c_ordinary, and
                 a listing that runs to its end must match it.
@@ -410,15 +432,7 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
         except RichCasePreconditionError:
             pass  # the points off the line are collinear: use the poor graph
         else:
-            if tris:
-                shown = tris if limit is None else tris[:limit]
-                return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)
-            count, tris = enumerate_all_c_ordinary(P, c, limit)
-            return report(CaseTaken.BRUTE_FORCE_FALLBACK, tris, count, True)
+            shown = tris if limit is None else tris[:limit]
+            return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)
     tris, count = find_case_poor_graph(P, census, c, limit)
-    if mode == "fast" and count == 0:
-        # poor-path zero is already exact, but re-confirm through the oracle:
-        # the non-empty-iff-exists contract must not rest on a single path
-        count, tris = enumerate_all_c_ordinary(P, c, limit)
-        return report(CaseTaken.BRUTE_FORCE_FALLBACK, tris, count, True)
     return report(CaseTaken.POOR_GRAPH, tris, count, True)

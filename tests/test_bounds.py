@@ -200,6 +200,22 @@ class TestCountTriangles:
                        if b in adj[a] and c in adj[a] and c in adj[b])
         assert count_triangles(g) == expected
 
+    @pytest.mark.parametrize("p", [0, 0.1, 0.5, 0.9, 1])
+    def test_matches_brute_force_with_isolated_vertices(self, p):
+        import itertools
+        for seed in range(6):
+            rng = random.Random(seed)
+            n = rng.randint(3, 30)
+            isolated = set(rng.sample(range(n), seed % 4))
+            g = make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                               if not {u, v} & isolated and rng.random() < p])
+            adj = [set(a) for a in g.adj]
+            expected = sum(1 for a, b, c in itertools.combinations(range(n), 3)
+                           if b in adj[a] and c in adj[a] and c in adj[b])
+            if p == 1:
+                assert expected == comb(n - len(isolated), 3)
+            assert count_triangles(g) == expected
+
 
 class TestDeriveConstants:
     def test_headline_constants(self):

@@ -1,5 +1,7 @@
+import io
 import itertools
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from ordtri.incidence import (
     spectrum_f,
     spectrum_table,
 )
-from ordtri.generators import gen_cubic_progression, gen_grid, gen_random
+import ordtri.geom
+import ordtri.incidence
+from ordtri.generators import gen_cubic_progression, gen_grid, gen_random, gen_two_line_union
+from ordtri.pointfile import parse_points
 
 
 def brute_force_profile(P):
@@ -176,6 +181,29 @@ class TestClassifyDegeneracy:
 
     def test_grid_non_degenerate(self):
         assert classify_degeneracy(GRID3).tag is DegeneracyTag.NON_DEGENERATE
+
+    @pytest.mark.parametrize("P, tag, witness", [
+        (PointSet.of([(0, 0), (1, 1)]), "TooSmall", []),
+        (PointSet.of([("1/2", "1/3"), (1, 1), ("3/2", "5/3")]), "AllCollinear", [(4, -3, -1)]),
+        (gen_two_line_union(5, 4), "TwoLineUnion", [(0, 1, 0), (1, 0, 0)]),
+        (PointSet.of([(0, 1), (2, 2), (0, 2), (3, 3), (0, 3)]),
+         "TwoLineUnion", [(1, 0, 0), (1, -1, 0)]),
+        (PointSet.of([(0, 1), (2, 2), (3, 3), (0, 2), (0, "1/3"), ("1/2", "1/2")]),
+         "TwoLineUnion", [(1, -1, 0), (1, 0, 0)]),
+        (PointSet.of([(i, 0) for i in range(5)] + [(1, 1)]),
+         "TwoLineUnion", [(0, 1, 0), (1, -1, 0)]),
+        (parse_points(io.StringIO((Path(__file__).parent / "data" / "projection.txt").read_text())),
+         "NonDegenerate", []),
+        (gen_grid(6), "NonDegenerate", []),
+    ], ids=["too-small", "collinear", "two-lines", "second-candidate", "third-candidate",
+            "line-plus-one-point", "projection", "grid"])
+    def test_runs_no_fraction_incidence_test(self, monkeypatch, P, tag, witness):
+        def refuse(*args):
+            raise AssertionError("Fraction incidence test")
+        monkeypatch.setattr(ordtri.geom, "incident", refuse)
+        monkeypatch.setattr(ordtri.incidence, "incident", refuse)
+        cls = classify_degeneracy(P)
+        assert (cls.tag.value, [l.triple() for l in cls.witness]) == (tag, witness)
 
     @given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                    min_size=3, max_size=12))

@@ -1,9 +1,10 @@
 """Pair-pass guard: every command makes one pass over the point pairs.
 
 A pass is one `line_census` call; the pair kernel `_scaled_line_key` makes
-one pass per C(n, 2) calls.  Both, and `_scaled_multiplicities`, are
-wrapped at every binding in the package, so a call through any import
-counts.  Only the brute-force oracle may use the pair kernel.
+one pass per C(n, 2) calls.  Both, `_scaled_multiplicities` and the O(n^3)
+oracle `enumerate_all_c_ordinary` are wrapped at every binding in the
+package, so a call through any import counts.  Only the oracle may use the
+pair kernel, and only `--allow-small-c` runs the oracle.
 """
 import json
 import sys
@@ -14,9 +15,14 @@ import pytest
 
 import ordtri.cli
 import ordtri.incidence
+import ordtri.triangles
+from ordtri.generators import gen_two_line_union
+from ordtri.pointfile import format_points
 
 DATA = Path(__file__).parent / "data"
-WATCHED = ("line_census", "_scaled_line_key", "_scaled_multiplicities")
+WATCHED = {"line_census": ordtri.incidence, "_scaled_line_key": ordtri.incidence,
+           "_scaled_multiplicities": ordtri.incidence,
+           "enumerate_all_c_ordinary": ordtri.triangles}
 
 
 @pytest.fixture
@@ -31,8 +37,8 @@ def calls(monkeypatch):
 
     modules = [m for name, m in sys.modules.items()
                if name == "ordtri" or name.startswith("ordtri.")]
-    for name in WATCHED:
-        original = getattr(ordtri.incidence, name)
+    for name, home in WATCHED.items():
+        original = getattr(home, name)
         wrapper = counting(name, original)
         for mod in modules:
             for attr, obj in list(vars(mod).items()):
@@ -69,9 +75,24 @@ def test_rich_line_path_censuses_p_and_the_points_off_the_line(capsys, monkeypat
     assert calls == {"line_census": 2}
 
 
+# the second input takes the rich-line path first, whose census of the
+# points off the line finds them collinear
+@pytest.mark.parametrize("n1, n2, c, censuses", [(30, 30, "3", 1), (30, 8, "5", 2)],
+                         ids=["no-line-above-alpha-n", "points-off-the-line-collinear"])
+def test_fast_mode_reports_no_triangle_from_the_poor_graph(capsys, monkeypatch, calls,
+                                                          tmp_path, n1, n2, c, censuses):
+    path = tmp_path / "two-line.txt"
+    path.write_text(format_points(gen_two_line_union(n1, n2)))
+    assert ordtri.cli.main(["find", str(path), "--c", c]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["case_taken"], report["count"], report["triangles"]) == ("PoorGraph", 0, [])
+    assert calls == {"line_census": censuses}
+
+
 def test_only_the_oracle_uses_the_pair_kernel(capsys, monkeypatch, calls):
     report = run(capsys, monkeypatch, "find", "grid6.txt", "--c", "2",
                  "--mode", "exhaustive", "--allow-small-c")
     assert report["case_taken"] == "Oracle"
+    assert calls["enumerate_all_c_ordinary"] == 1
     assert calls["_scaled_multiplicities"] == 1
     assert calls["_scaled_line_key"] == 2 * (36 * 35 // 2)  # multiplicities, then G
