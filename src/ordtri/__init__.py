@@ -1,8 +1,6 @@
 """Exact-arithmetic toolkit for c-ordinary triangles in planar point sets."""
 
 from .geom import (
-    IDENTICAL,
-    PARALLEL,
     CanonicalLine,
     DegeneratePairError,
     Point,
@@ -16,39 +14,29 @@ from .geom import (
 from .incidence import (
     DegeneracyClass,
     DegeneracyTag,
-    IncidenceProfile,
     InvariantError,
     LineCensus,
     PointSet,
     SylvesterGallaiError,
     UnderdeterminedError,
     classify_degeneracy,
-    enumerate_lines,
     find_ordinary_line,
     line_census,
-    pair_line_multiplicity,
-    points_on_line,
-    spectrum_f,
-    spectrum_table,
 )
 from .triangles import (
     DEFAULT_C_PRIME,
     DEFAULT_CONSTANTS,
     CaseTaken,
     Constants,
-    PoorGraph,
     RichCasePreconditionError,
     RichCaseWitness,
     TriangleReport,
     build_poor_graph,
     count_c_ordinary,
-    count_triangles,
-    enumerate_all_c_ordinary,
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
     poor_graph_size,
-    validate_c_ordinary,
 )
 from .bounds import (
     BoundReport,

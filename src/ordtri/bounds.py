@@ -127,9 +127,8 @@ def check_eg(n: int, m: int, t3: int, instance: str = "") -> BoundReport:
 
 
 def derive_constants(c_prime: int) -> Constants:
-    """c = 96*c' and alpha = 4/(c+1); c' = 125 gives the default c = 12000."""
-    if c_prime < 1:
-        raise ValueError("c_prime must be >= 1")
+    """c = 96*c' and alpha = 4/(c+1); c' = 125 gives the default c = 12000.
+    Constants rejects c' < 1."""
     return Constants.for_c(96 * c_prime, c_prime)
 
 

@@ -19,7 +19,6 @@ from math import comb
 from . import bounds, generators, triangles
 from .geom import CanonicalLine
 from .incidence import (
-    DegeneracyTag,
     InvariantError,
     PointSet,
     classify_degeneracy,
@@ -154,13 +153,25 @@ def cmd_find(args) -> int:
     P = _read_points(args.input)
     n = len(P)
     if args.c < 3:
-        # research escape hatch: oracle enumeration only
-        count, tris = triangles.enumerate_all_c_ordinary(P, args.c, args.limit)
+        # research escape hatch, outside Constants: the poor-graph listing of
+        # exhaustive mode on one census.  At c <= 1 every line is rich, so no
+        # triangle exists, and a census at that threshold would keep the
+        # members of every line
+        if args.c_prime < 1:
+            raise ValueError("c_prime must be >= 1")
+        if args.limit is not None and args.limit < 0:
+            raise ValueError(f"limit must be >= 0, got {args.limit}")
         classification = classify_degeneracy(P)
-        case = "Oracle"
+        case = CaseTaken.POOR_GRAPH.value
         count_kind = "exact"
         witness = None
-        spectrum = line_census(P).spectrum_table() if n >= 2 else []
+        count, tris, spectrum = 0, [], []
+        if n >= 3 and args.c == 2:
+            census = line_census(P, rich_threshold=args.c)
+            tris, count = triangles.find_case_poor_graph(P, census, args.c, args.limit)
+            spectrum = census.spectrum_table()
+        elif n >= 2:
+            spectrum = line_census(P).spectrum_table()
     else:
         constants = Constants.for_c(args.c, args.c_prime)
         rep = triangles.find_c_ordinary(P, constants, mode=args.mode, limit=args.limit)

@@ -5,20 +5,10 @@ that kills all 2-ordinary triangles.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .geom import (
-    PARALLEL,
-    CanonicalLine,
-    Point,
-    incident,
-    intersect,
-    line_through,
-    orientation,
-    point,
-)
-from .incidence import PointSet, enumerate_lines
+from .geom import CanonicalLine, Point, incident, intersect, orientation, point
+from .incidence import PointSet, line_census
 
 
 def gen_grid(g: int) -> PointSet:
@@ -46,15 +36,16 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
     for i, p in enumerate(P1):
         if incident(ell, p):
             raise ValueError(f"point {i} of the base set lies on the augmentation line")
-    profile = enumerate_lines(P1)
-    if profile.line_count == 1:
+    # every line is above threshold 1, so the census lists them all; bases are small
+    census = line_census(P1, rich_threshold=1)
+    if census.line_count == 1:
         raise ValueError("base set is collinear")
     added: set[Point] = set()
-    for l1 in profile.entries:
+    for l1 in census.members:
+        # no determined line is ell itself: it would hold two base points
         u = intersect(ell, l1)
-        if not isinstance(u, Point):
-            kind = "parallel to" if u is PARALLEL else "identical to"
-            raise ValueError(f"augmentation line not generic: {kind} a determined line")
+        if u is None:
+            raise ValueError("augmentation line not generic: parallel to a determined line")
         added.add(u)
     return PointSet(tuple(P1) + tuple(sorted(added)))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Optional
 
 # Exact coordinate carrier.  Fraction already maintains the invariants we need:
 # positive denominator, gcd-reduced, 0 == Fraction(0, 1).
@@ -69,36 +69,6 @@ class CanonicalLine:
         return (self.a, self.b, self.c)
 
 
-class _Parallel:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Parallel"
-
-
-class _Identical:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Identical"
-
-
-PARALLEL = _Parallel()
-IDENTICAL = _Identical()
-
-Intersection = Union[Point, _Parallel, _Identical]
-
-
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the determinant of (q-p, r-p): +1 ccw, -1 cw, 0 collinear.
 
@@ -127,13 +97,12 @@ def incident(l: CanonicalLine, p: Point) -> bool:
     return l.a * p.x + l.b * p.y + l.c == 0
 
 
-def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Intersection:
-    """Intersection point of two lines, or PARALLEL / IDENTICAL."""
-    if l1 == l2:
-        return IDENTICAL
+def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Optional[Point]:
+    """Intersection point of two lines, or None for parallel or identical
+    lines."""
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
-        return PARALLEL
+        return None
     x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
     y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
     return Point(x, y)

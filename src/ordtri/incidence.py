@@ -1,9 +1,12 @@
-"""Determined-line enumeration, richness spectrum, degeneracy classification,
-and the Sylvester-Gallai ordinary-line finder.
+"""The line census, degeneracy classification, and the Sylvester-Gallai
+ordinary-line finder.
 
-The pair loop runs over integer-scaled coordinates (clearing denominators
-per axis preserves collinearity), so the O(n^2) kernel is pure machine-int
-arithmetic even for rational inputs.
+The census is the one pass over point pairs: it gives the multiplicity
+histogram and spectrum of the determined lines, and the members of the
+lines asked for, without keeping an object per line.  The pair loop runs
+over integer-scaled coordinates (clearing denominators per axis preserves
+collinearity), so the O(n^2) kernel is pure machine-int arithmetic even for
+rational inputs.
 """
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Optional
 
-from .geom import CanonicalLine, Point, incident, line_through, orientation
+from .geom import CanonicalLine, Point, line_through
 
 
 class UnderdeterminedError(ValueError):
@@ -95,7 +98,10 @@ class PointSet:
 
 
 def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
-    """Primitive sign-normalized triple of the line through two scaled points."""
+    """Primitive sign-normalized triple of the line through two scaled points.
+
+    No package code keys pairs one at a time: the tests' brute-force oracle
+    does, and bench/tracing.py counts calls of this name as pair passes."""
     a = y1 - y2
     b = x2 - x1
     c = x1 * y2 - x2 * y1
@@ -143,84 +149,6 @@ def _pencil(pts: list[tuple[int, int]], k: int
     before, after = _normals(xk, yk, pts[:k]), _normals(xk, yk, pts[k + 1:])
     mult = {normal: size + 1 for normal, size in Counter(before + after).items()}
     return before + [None] + after, mult
-
-
-@dataclass(frozen=True)
-class IncidenceProfile:
-    """All determined lines with their multiplicities l_i = |L_i cap P|."""
-
-    entries: dict[CanonicalLine, int]
-    n: int
-
-    @property
-    def line_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max(self.entries.values(), default=0)
-
-    def multiplicity_histogram(self) -> dict[int, int]:
-        return dict(Counter(self.entries.values()))
-
-
-def _scaled_multiplicities(P: PointSet) -> dict[tuple[int, int, int], int]:
-    """Multiplicity of every determined line, keyed by scaled-coordinate triple.
-
-    Hashes the triple of each of the C(n,2) pair lines; a line with l points
-    is hit C(l,2) times, from which l is recovered exactly.
-    """
-    n = len(P)
-    pts, _, _ = P.scaled_ints
-    pair_counts: Counter[tuple[int, int, int]] = Counter()
-    for i in range(n - 1):
-        x1, y1 = pts[i]
-        for j in range(i + 1, n):
-            pair_counts[_scaled_line_key(x1, y1, *pts[j])] += 1
-    mult: dict[tuple[int, int, int], int] = {}
-    for key, t in pair_counts.items():
-        l = (1 + isqrt(1 + 8 * t)) // 2
-        if l * (l - 1) // 2 != t:
-            raise InvariantError(f"pair count {t} of a line is not triangular")
-        mult[key] = l
-    return mult
-
-
-def enumerate_lines(P: PointSet) -> IncidenceProfile:
-    """All lines with >= 2 points of P, each with its exact multiplicity."""
-    n = len(P)
-    if n < 2:
-        raise UnderdeterminedError("underdetermined: need at least 2 points")
-    _, sx, sy = P.scaled_ints
-    entries = {CanonicalLine(*_unscale(key, sx, sy)): l
-               for key, l in _scaled_multiplicities(P).items()}
-    if sum(comb(l, 2) for l in entries.values()) != comb(n, 2):
-        raise InvariantError("pair-sum identity violated by the line profile")
-    return IncidenceProfile(entries=entries, n=n)
-
-
-def spectrum_f(profile: IncidenceProfile, k: int) -> int:
-    """f(k): number of determined lines containing at least k points."""
-    if k < 2:
-        raise ValueError("spectrum undefined for k < 2")
-    return sum(1 for l in profile.entries.values() if l >= k)
-
-
-def spectrum_table(profile: IncidenceProfile) -> list[tuple[int, int]]:
-    """[(k, f(k))] for k = 2 .. max multiplicity."""
-    return [(k, spectrum_f(profile, k)) for k in range(2, profile.max_multiplicity + 1)]
-
-
-def points_on_line(P: PointSet, l: CanonicalLine) -> list[int]:
-    """Indices of all points of P incident to l, ascending."""
-    return [i for i, p in enumerate(P) if incident(l, p)]
-
-
-def pair_line_multiplicity(profile: IncidenceProfile, P: PointSet, p: Point, q: Point) -> int:
-    """Multiplicity of the line through p and q, looked up in the profile."""
-    if p not in P.index or q not in P.index:
-        raise ValueError("pair_line_multiplicity: point not in the point set")
-    return profile.entries[line_through(p, q)]
 
 
 class DegeneracyTag(Enum):
@@ -288,7 +216,7 @@ def find_ordinary_line(P: PointSet) -> tuple[CanonicalLine, Point, Point]:
     return census.ordinary, P[i], P[j]
 
 
-# --- memory-light census for large inputs -----------------------------------
+# --- the line census ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class LineCensus:

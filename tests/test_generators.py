@@ -4,12 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordtri.geom import CanonicalLine, incident, orientation, point
-from ordtri.incidence import (
-    DegeneracyTag,
-    classify_degeneracy,
-    enumerate_lines,
-    line_census,
-)
+from ordtri.incidence import DegeneracyTag, classify_degeneracy, line_census
 from ordtri.generators import (
     gen_cubic_progression,
     gen_grid,
@@ -18,6 +13,7 @@ from ordtri.generators import (
     gen_rich_line_plus,
     gen_two_line_union,
 )
+from reference import enumerate_lines
 
 
 class TestGrid:

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtri.geom import (
-    IDENTICAL,
-    PARALLEL,
     CanonicalLine,
     DegeneratePairError,
     Point,
@@ -114,10 +112,10 @@ class TestIntersect:
         assert intersect(CanonicalLine(0, 1, 0), CanonicalLine(1, 0, 0)) == point(0, 0)
 
     def test_parallel(self):
-        assert intersect(CanonicalLine(0, 1, 0), CanonicalLine(0, 1, -1)) is PARALLEL
+        assert intersect(CanonicalLine(0, 1, 0), CanonicalLine(0, 1, -1)) is None
 
     def test_identical(self):
-        assert intersect(CanonicalLine(0, 1, 0), CanonicalLine(0, 1, 0)) is IDENTICAL
+        assert intersect(CanonicalLine(0, 1, 0), CanonicalLine(0, 1, 0)) is None
 
     def test_crossing_diagonals(self):
         u = intersect(CanonicalLine(1, 1, -1), CanonicalLine(1, -1, 0))

@@ -1,10 +1,9 @@
 """Pair-pass guard: every command makes one pass over the point pairs.
 
 A pass is one `line_census` call; the pair kernel `_scaled_line_key` makes
-one pass per C(n, 2) calls.  Both, `_scaled_multiplicities` and the O(n^3)
-oracle `enumerate_all_c_ordinary` are wrapped at every binding in the
-package, so a call through any import counts.  Only the oracle may use the
-pair kernel, and only `--allow-small-c` runs the oracle.
+one pass per C(n, 2) calls.  Both are wrapped at every binding in the
+package, so a call through any import counts.  No command uses the pair
+kernel: only the tests' brute-force oracle keys pairs one at a time.
 """
 import json
 import sys
@@ -15,14 +14,11 @@ import pytest
 
 import ordtri.cli
 import ordtri.incidence
-import ordtri.triangles
 from ordtri.generators import gen_two_line_union
 from ordtri.pointfile import format_points
 
 DATA = Path(__file__).parent / "data"
-WATCHED = {"line_census": ordtri.incidence, "_scaled_line_key": ordtri.incidence,
-           "_scaled_multiplicities": ordtri.incidence,
-           "enumerate_all_c_ordinary": ordtri.triangles}
+WATCHED = {"line_census": ordtri.incidence, "_scaled_line_key": ordtri.incidence}
 
 
 @pytest.fixture
@@ -59,9 +55,10 @@ def run(capsys, monkeypatch, *argv):
     (("find", "random60.txt", "--c", "5", "--mode", "exhaustive"), "PoorGraph"),
     (("find", "grid6.txt", "--c", "3", "--mode", "exhaustive", "--limit", "12"), "PoorGraph"),
     (("find", "grid6.txt", "--c", "3"), "PoorGraph"),
+    (("find", "grid6.txt", "--c", "2", "--mode", "exhaustive", "--allow-small-c"), "PoorGraph"),
     (("verify-bounds", "projection.txt"), None),
     (("verify-bounds", "grid6.txt", "--c", "3"), None),
-], ids=["analyze", "count", "exhaustive", "exhaustive-limit", "fast-poor-graph",
+], ids=["analyze", "count", "exhaustive", "exhaustive-limit", "fast-poor-graph", "small-c",
         "verify-bounds", "verify-bounds-c-3"])
 def test_one_census_and_no_pair_kernel(capsys, monkeypatch, calls, argv, case):
     report = run(capsys, monkeypatch, *argv)
@@ -88,11 +85,3 @@ def test_fast_mode_reports_no_triangle_from_the_poor_graph(capsys, monkeypatch, 
     assert (report["case_taken"], report["count"], report["triangles"]) == ("PoorGraph", 0, [])
     assert calls == {"line_census": censuses}
 
-
-def test_only_the_oracle_uses_the_pair_kernel(capsys, monkeypatch, calls):
-    report = run(capsys, monkeypatch, "find", "grid6.txt", "--c", "2",
-                 "--mode", "exhaustive", "--allow-small-c")
-    assert report["case_taken"] == "Oracle"
-    assert calls["enumerate_all_c_ordinary"] == 1
-    assert calls["_scaled_multiplicities"] == 1
-    assert calls["_scaled_line_key"] == 2 * (36 * 35 // 2)  # multiplicities, then G

@@ -7,27 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtri.geom import CanonicalLine, line_through, orientation, point
-from ordtri.incidence import (
-    DegeneracyTag,
-    InvariantError,
-    PointSet,
-    enumerate_lines,
-    line_census,
-    points_on_line,
-)
+from ordtri.incidence import DegeneracyTag, InvariantError, PointSet, line_census
 from ordtri.triangles import (
     CaseTaken,
     Constants,
     RichCasePreconditionError,
     build_poor_graph,
     count_c_ordinary,
-    count_triangles,
-    enumerate_all_c_ordinary,
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
     poor_graph_size,
-    validate_c_ordinary,
 )
 from ordtri.generators import (
     gen_cubic_progression,
@@ -36,6 +26,14 @@ from ordtri.generators import (
     gen_random,
     gen_rich_line_plus,
     gen_two_line_union,
+)
+from reference import (
+    PoorGraph,
+    count_triangles,
+    enumerate_all_c_ordinary,
+    enumerate_lines,
+    points_on_line,
+    validate_c_ordinary,
 )
 
 GRID3 = gen_grid(3)
@@ -113,16 +111,17 @@ class TestOracle:
 
 class TestPoorGraph:
     def test_unit_triangle_k3(self):
-        g = build_poor_graph(UNIT_TRIANGLE, line_census(UNIT_TRIANGLE, rich_threshold=2), 2)
+        census = line_census(UNIT_TRIANGLE, rich_threshold=2)
+        g = PoorGraph.of(build_poor_graph(UNIT_TRIANGLE, census, 2))
         assert g.edge_count == 3
 
     def test_collinear_triple_keeps_edges(self):
         P = PointSet.of([(0, 0), (1, 0), (2, 0)])
-        g = build_poor_graph(P, line_census(P, rich_threshold=3), 3)
+        g = PoorGraph.of(build_poor_graph(P, line_census(P, rich_threshold=3), 3))
         assert g.edge_count == 3  # triangle exists in G, filtered later
 
     def test_grid_c2_edges(self):
-        g = build_poor_graph(GRID3, line_census(GRID3, rich_threshold=2), 2)
+        g = PoorGraph.of(build_poor_graph(GRID3, line_census(GRID3, rich_threshold=2), 2))
         assert g.edge_count == 12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -130,7 +129,7 @@ class TestPoorGraph:
         P = gen_random(25, 30, seed)
         prof = enumerate_lines(P)
         for c in (2, 3, 5):
-            g = build_poor_graph(P, line_census(P, rich_threshold=c), c)
+            g = PoorGraph.of(build_poor_graph(P, line_census(P, rich_threshold=c), c))
             assert g.edge_count == sum(comb(l, 2) for l in prof.entries.values() if l <= c)
 
     def test_poor_path_equals_oracle(self):
@@ -141,12 +140,11 @@ class TestPoorGraph:
             assert count == oracle_count and tris == oracle
 
     def test_collinear_filter_bound(self):
-        from ordtri.triangles import count_triangles
         P = gen_random(40, 45, 11)
         prof = enumerate_lines(P)
         for c in (3, 5):
             census = line_census(P, rich_threshold=c)
-            g = build_poor_graph(P, census, c)
+            g = PoorGraph.of(build_poor_graph(P, census, c))
             _, kept = find_case_poor_graph(P, census, c)
             filtered = count_triangles(g) - kept
             assert filtered <= sum(comb(l, 3) for l in prof.entries.values() if l <= c)
@@ -211,7 +209,7 @@ class TestCensusPoorGraph:
         adjacency = brute_poor_adjacency(P)
         for c in (2, 3, 4, 5, 12000):
             census = line_census(P, rich_threshold=c)
-            g = build_poor_graph(P, census, c)
+            g = PoorGraph.of(build_poor_graph(P, census, c))
             assert g.adj == adjacency(c), c
             assert poor_graph_size(P, c, census) == (g.edge_count, count_triangles(g)), c
 
