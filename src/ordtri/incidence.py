@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb, gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .geom import CanonicalLine, Point, line_through
 
@@ -69,10 +70,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    @cached_property
-    def index(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def scaled_ints(self) -> tuple[list[tuple[int, int]], int, int]:
@@ -200,20 +197,39 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
 
 
-def find_ordinary_line(P: PointSet) -> tuple[CanonicalLine, Point, Point]:
-    """An ordinary line of P (exactly two incident points) with its two points.
+def find_ordinary_line(P: PointSet, indices: Optional[Sequence[int]] = None
+                       ) -> tuple[CanonicalLine, int, int]:
+    """An ordinary line of the points at indices (default: all of P), one
+    through exactly two of them (Sylvester-Gallai), with their P-indices.
 
-    Deterministic: the lexicographically smallest canonical triple among all
-    ordinary lines; the two points come back in index order.  Existence for a
-    non-collinear P is the Sylvester-Gallai theorem.  One census pass.
+    The pair (i, j) is the lexicographically first with no third point on
+    its line.  Row i groups the later points by their normal through i, as
+    the census does, and notes each line holding two of them; a lone point
+    on a line no earlier row noted is ordinary.  Ordinary lines are
+    plentiful (Green and Tao 2013), so the search typically stops in its
+    first row; it never groups more pairs than one census.
     """
-    if len(P) < 3:
+    pts, sx, sy = P.scaled_ints
+    idx = sorted(range(len(P)) if indices is None else indices)
+    if len(idx) < 3:
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: fewer than 3 points")
-    census = line_census(P, ordinary=True)
-    if census.ordinary is None:
+    sub = [pts[k] for k in idx]
+    (x0, y0), (x1, y1) = sub[0], sub[1]
+    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in sub[2:]):
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
-    i, j = census.members[census.ordinary]
-    return census.ordinary, P[i], P[j]
+    seen: set[tuple[int, int, int]] = set()
+    for a in range(len(sub) - 1):
+        xi, yi = sub[a]
+        normals = _normals(xi, yi, sub[a + 1:])
+        groups = Counter(normals)
+        single = map((1).__eq__, map(groups.__getitem__, normals))
+        for b, (na, nb) in compress(enumerate(normals, a + 1), single):
+            key = (na, nb, -(na * xi + nb * yi))
+            if key not in seen:
+                return CanonicalLine(*_unscale(key, sx, sy)), idx[a], idx[b]
+        seen.update((na, nb, -(na * xi + nb * yi))
+                    for na, nb in compress(groups, map((1).__lt__, groups.values())))
+    raise InvariantError("a non-collinear set without an ordinary line")
 
 
 # --- the line census ----------------------------------------------------------
@@ -225,9 +241,8 @@ class LineCensus:
     count_by_mult[l] = number of determined lines with exactly l points.
     rich holds the (few) lines with multiplicity > rich_threshold explicitly.
     top is the lowest canonical triple among the lines of maximum
-    multiplicity, ordinary the lowest among the lines with exactly two
-    points; each is None unless asked for.  members maps every line the
-    census reports to its point indices, ascending.
+    multiplicity, None unless asked for.  members maps every line the census
+    reports to its point indices, ascending.
     """
 
     n: int
@@ -235,7 +250,6 @@ class LineCensus:
     rich_threshold: Optional[int]
     rich: tuple[tuple[CanonicalLine, int], ...] = ()
     top: Optional[CanonicalLine] = None
-    ordinary: Optional[CanonicalLine] = None
     members: dict[CanonicalLine, tuple[int, ...]] = field(default_factory=dict)
 
     @property
@@ -256,7 +270,7 @@ class LineCensus:
 
 
 def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
-                top: bool = False, ordinary: bool = False) -> LineCensus:
+                top: bool = False) -> LineCensus:
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
 
     For each point i, later points are grouped by the normal of their line
@@ -272,9 +286,8 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
       members.  Its owner is the first point to see it in a group of size
       >= threshold, and that group holds the other members.
     - top: a group of the largest size seen so far belongs to its owner
-      (a non-owner's group is smaller than the owner's, seen earlier).
-    - ordinary: a group of size 1 is an ordinary line unless an earlier
-      point saw the same line in a larger group.
+      (a non-owner's group is smaller than the owner's, seen earlier), so
+      a point whose largest group is smaller has no candidate.
     """
     n = len(P)
     if n < 2:
@@ -283,8 +296,6 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
     group_size_hist: Counter[int] = Counter()
     rich_seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
     top_size, top_best = 0, None        # top_best: (original triple, scaled key)
-    ordinary_best = None
-    seen_in_larger: set[tuple[int, int, int]] = set()
     for i in range(n - 1):
         xi, yi = pts[i]
         normals = groups = None  # free the last point's groups before building these
@@ -306,25 +317,17 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
                         found[normal].append(j)
                 for normal, key in owned.items():
                     rich_seen[key] = tuple(found[normal])
-        if top:
+        if top and largest >= top_size:
             if largest > top_size:
                 top_size, top_best = largest, None
-            if largest == top_size:
-                for (a, b), s in groups.items():
-                    if s == largest:
-                        key = (a, b, -(a * xi + b * yi))
-                        triple = _unscale(key, sx, sy)
-                        if top_best is None or triple < top_best[0]:
-                            top_best = (triple, key)
-        if ordinary:
-            for (a, b), s in groups.items():
-                key = (a, b, -(a * xi + b * yi))
-                if s > 1:
-                    seen_in_larger.add(key)
-                elif key not in seen_in_larger:
-                    triple = _unscale(key, sx, sy)
-                    if ordinary_best is None or triple < ordinary_best[0]:
-                        ordinary_best = (triple, key)
+            candidates = groups if largest == 1 else \
+                compress(groups, map(largest.__eq__, groups.values()))
+            if sx == sy == 1:  # keys through one point order as their normals
+                candidates = [min(candidates)]
+            best = min((_unscale(key, sx, sy), key) for key in
+                       ((a, b, -(a * xi + b * yi)) for a, b in candidates))
+            if top_best is None or best < top_best:
+                top_best = best
     if sum(s * c for s, c in group_size_hist.items()) != comb(n, 2):
         raise InvariantError("census groups do not cover every pair once")
     count_by_mult = {
@@ -337,21 +340,13 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
     members = {CanonicalLine(*_unscale(key, sx, sy)): idx for key, idx in rich_seen.items()}
     rich = tuple(sorted(((line, len(idx)) for line, idx in members.items()),
                         key=lambda pair: pair[0].triple()))
-
-    def report(best, multiplicity):
-        if best is None:
-            return None
-        line = CanonicalLine(*best[0])
-        a, b, c = best[1]
-        on = tuple(k for k, (x, y) in enumerate(pts) if a * x + b * y + c == 0)
-        if len(on) != multiplicity:
-            raise InvariantError(f"line {best[0]} holds {len(on)} points, "
-                                 f"the census gives {multiplicity}")
-        members[line] = on
-        return line
-
-    return LineCensus(n=n, count_by_mult=count_by_mult,
-                      rich_threshold=rich_threshold, rich=rich,
-                      top=report(top_best, top_size + 1),
-                      ordinary=report(ordinary_best, 2),
-                      members=members)
+    top_line = None
+    if top_best is not None:
+        top_line = CanonicalLine(*top_best[0])
+        a, b, c = top_best[1]
+        members[top_line] = tuple(k for k, (x, y) in enumerate(pts) if a * x + b * y + c == 0)
+        if len(members[top_line]) != top_size + 1:
+            raise InvariantError(f"line {top_best[0]} holds {len(members[top_line])} points, "
+                                 f"the census gives {top_size + 1}")
+    return LineCensus(n=n, count_by_mult=count_by_mult, rich_threshold=rich_threshold,
+                      rich=rich, top=top_line, members=members)

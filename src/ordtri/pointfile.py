@@ -13,7 +13,7 @@ from typing import TextIO
 from .geom import Point
 from .incidence import PointSet
 
-_COORD = re.compile(r"^[+-]?\d+(/\d+)?$")
+_COORD = re.compile(r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?$")  # ASCII digits, q > 0
 
 
 class PointFileError(ValueError):

@@ -191,10 +191,11 @@ def poor_graph_size(P: PointSet, c: int, census: LineCensus) -> tuple[int, int]:
 
 def find_case_rich_line(P: PointSet, census: LineCensus, c: int
                         ) -> tuple[RichCaseWitness, list[tuple[int, int, int]]]:
-    """Rich-line path on the census's top line: pick an ordinary line (q, r)
-    of the points off the rich line, exclude the rich-line points whose
-    connection to q or r is itself too rich, and pair every survivor with
-    (q, r).  census must come from line_census(P, top=True).
+    """Rich-line path on the census's top line: take the ordinary line (q, r)
+    of the points off the rich line through their first such index pair
+    (find_ordinary_line), exclude the rich-line points whose connection to
+    q or r is itself too rich, and pair every survivor with (q, r).  census
+    must come from line_census(P, top=True).
 
     Emits at least max(ceil(l/2) - 1, 1) validated triangles, where l is the
     rich line's multiplicity; the exclusion sets are each strictly below l/4.
@@ -208,12 +209,10 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     if not Constants.for_c(c).exceeds_alpha_n(l_i, n):
         raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
     on_set = set(on_idx)
-    rest = PointSet(tuple(p for i, p in enumerate(P) if i not in on_set))
     try:
-        _, q, r = find_ordinary_line(rest)
+        _, qi, ri = find_ordinary_line(P, [i for i in range(n) if i not in on_set])
     except SylvesterGallaiError as exc:
         raise RichCasePreconditionError(f"remainder off the rich line: {exc}") from exc
-    qi, ri = P.index[q], P.index[r]
     pts, _, _ = P.scaled_ints
     toward_q, mult_q = _pencil(pts, qi)
     toward_r, mult_r = _pencil(pts, ri)
@@ -241,7 +240,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         raise InvariantError(f"{len(survivors)} survivors, the guarantee is "
                              f"max({guarantee}, 1)")
     triangles = sorted(tuple(sorted((s, qi, ri))) for s in survivors)
-    witness = RichCaseWitness(rich_line=rich_line, q=q, r=r,
+    witness = RichCaseWitness(rich_line=rich_line, q=P[qi], r=P[ri],
                               excluded=frozenset(excluded),
                               survivors=frozenset(survivors),
                               guarantee=guarantee)
@@ -319,8 +318,10 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
                 a listing that runs to its end must match it.
     count:      exact count without materializing any triangle list.
 
-    Every mode runs one line_census(P, rich_threshold=c); the rich-line
-    path adds one census of the points off the line.
+    Every mode runs one line_census(P, rich_threshold=c).  The rich-line
+    path adds a search for an ordinary line off the rich line that stops at
+    the first ordinary pair: typically after one row of pairs, at worst
+    after as many pairs as one census of the points off the line.
 
     Degenerate inputs are classified and still searched exhaustively:
     triangles may exist below the theorem's regime.

@@ -8,6 +8,8 @@ tests check it against:
   and stores its multiplicity (``IncidenceProfile``), in O(n^2) memory;
 - ``enumerate_all_c_ordinary`` lists every c-ordinary triple by an O(n^3)
   loop over the pairs of the poor graph, with its own pair pass;
+- ``first_ordinary_pair`` tests each pair's line against every point, in
+  index order, until one holds no third point;
 - ``PoorGraph`` holds a graph as sorted adjacency tuples, and
   ``count_triangles`` counts its triangles.
 """
@@ -102,9 +104,23 @@ def points_on_line(P: PointSet, l: CanonicalLine) -> list[int]:
     return [i for i, p in enumerate(P) if incident(l, p)]
 
 
+def first_ordinary_pair(P: PointSet, indices=None
+                        ) -> Optional[tuple[CanonicalLine, int, int]]:
+    """The line through the lexicographically first index pair i < j of the
+    given indices (default: all of P) whose line holds no third point among
+    them, with i and j; None if every such line holds a third point."""
+    idx = sorted(range(len(P)) if indices is None else indices)
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            line = line_through(P[i], P[j])
+            if sum(incident(line, P[k]) for k in idx) == 2:
+                return line, i, j
+    return None
+
+
 def pair_line_multiplicity(profile: IncidenceProfile, P: PointSet, p: Point, q: Point) -> int:
     """Multiplicity of the line through p and q, looked up in the profile."""
-    if p not in P.index or q not in P.index:
+    if p not in P.points or q not in P.points:
         raise ValueError("pair_line_multiplicity: point not in the point set")
     return profile.entries[line_through(p, q)]
 

@@ -151,6 +151,16 @@ class TestFind:
         code, rep = run_json(capsys, "find", str(f), "--c", "3")
         assert code == 3 and rep["count"] == 0
 
+    # the grammar takes ASCII digits only: an Arabic-Indic three is not 3
+    @pytest.mark.parametrize("bad", ["1/0", "-3/00", "\u0663"],
+                             ids=["zero-denominator", "zeros-denominator", "non-ascii-digit"])
+    def test_bad_coordinate_is_an_input_error(self, capsys, tmp_path, bad):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"0 0\n1 {bad}\n0 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "find", str(f))
+        assert (code, out) == (2, "")
+        assert f"line 2: bad coordinate {bad!r}" in err
+
     def test_small_c_rejected(self, capsys, grid_file):
         code, _, err = run(capsys, "find", grid_file, "--c", "2")
         assert code == 2 and "c must be" in err

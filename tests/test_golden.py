@@ -4,11 +4,15 @@ inputs.
 Each report under tests/data was written by `ordtri <command> <input>
 <options>` run in tests/data, with the `timing_seconds` line removed.  The
 inputs are gen_rich_line_plus(14, [(0, 1), (1, 3), (3, 7), (5, -2)]), a
-projection set on a rational base (its lowest ordinary line off the
-augmentation line differs between scaled-coordinate and original-coordinate
-triples), gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
+projection set on a rational base (its census runs on per-axis scaled
+integers), gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
 A `find` report is named after the input and its options, a `verify-bounds`
 report after the input, the command and its options.
+
+Every default `find` run takes the rich-line path.  Its (q, r) is the first
+index pair off the rich line whose line holds no third point off it, which
+fixes the `rich_case` q, r, excluded and survivors fields and the
+`triangles` and lower-bound `count`.
 """
 import re
 from pathlib import Path

@@ -19,10 +19,18 @@ from ordtri.incidence import (
 )
 import ordtri.geom
 import ordtri.incidence
-from ordtri.generators import gen_cubic_progression, gen_grid, gen_random, gen_two_line_union
+from ordtri.generators import (
+    gen_cubic_progression,
+    gen_grid,
+    gen_projection_augmented,
+    gen_random,
+    gen_rich_line_plus,
+    gen_two_line_union,
+)
 from ordtri.pointfile import parse_points
 from reference import (
     enumerate_lines,
+    first_ordinary_pair,
     pair_line_multiplicity,
     points_on_line,
     spectrum_f,
@@ -143,19 +151,21 @@ class TestLineCensus:
     @pytest.mark.parametrize("P", CENSUS_SETS + [gen_grid(5), PointSet.of([(0, 0), (1, 1), (2, 2)])])
     def test_top_and_ordinary_match_profile(self, P):
         prof = enumerate_lines(P)
-        census = line_census(P, top=True, ordinary=True)
+        census = line_census(P, top=True)
         top = min((l for l, m in prof.entries.items() if m == prof.max_multiplicity),
                   key=CanonicalLine.triple)
-        ordinary = min((l for l, m in prof.entries.items() if m == 2),
-                       key=CanonicalLine.triple, default=None)
-        assert (census.top, census.ordinary) == (top, ordinary)
-        for line in (top, ordinary):
-            if line is not None:
-                assert census.members[line] == tuple(points_on_line(P, line))
+        assert census.top == top
+        assert census.members[top] == tuple(points_on_line(P, top))
+        ordinary = first_ordinary_pair(P)
+        if ordinary is None:
+            with pytest.raises(SylvesterGallaiError):
+                find_ordinary_line(P)
+        else:
+            assert find_ordinary_line(P) == ordinary
 
     def test_reports_only_what_is_asked(self):
         census = line_census(GRID3)
-        assert (census.top, census.ordinary, census.rich, census.members) == (None, None, (), {})
+        assert (census.top, census.rich, census.members) == (None, (), {})
 
 
 class TestClassifyDegeneracy:
@@ -225,22 +235,66 @@ class TestClassifyDegeneracy:
                 for a, b in itertools.combinations(lines, 2))
 
 
+def centre_first(m):
+    """The m x m grid (m odd) with its centre moved to index 0: every line
+    through the centre holds a third point, so the first row of the
+    ordinary-line search finds no ordinary pair."""
+    P = gen_grid(m)
+    centre = point(m // 2, m // 2)
+    return PointSet((centre,) + tuple(p for p in P if p != centre))
+
+
+def off_top_line(P):
+    census = line_census(P, top=True)
+    on = set(census.members[census.top])
+    return [i for i in range(len(P)) if i not in on]
+
+
 class TestFindOrdinaryLine:
     def test_unit_triangle_deterministic(self):
         l, q, r = find_ordinary_line(UNIT_TRIANGLE)
-        sides = [line_through(UNIT_TRIANGLE[i], UNIT_TRIANGLE[j])
-                 for i, j in itertools.combinations(range(3), 2)]
-        assert l == min(sides, key=CanonicalLine.triple)
-        assert incident(l, q) and incident(l, r)
+        assert (l, q, r) == (line_through(UNIT_TRIANGLE[0], UNIT_TRIANGLE[1]), 0, 1)
 
     def test_grid3(self):
         l, q, r = find_ordinary_line(GRID3)
-        assert len(points_on_line(GRID3, l)) == 2
+        assert points_on_line(GRID3, l) == [q, r]
 
     def test_near_collinear(self):
         P = PointSet.of([(0, 0), (1, 0), (2, 0), (0, 1)])
         l, q, r = find_ordinary_line(P)
-        assert len(points_on_line(P, l)) == 2
+        assert points_on_line(P, l) == [q, r]
+
+    @pytest.mark.parametrize("P, off_top", [
+        *((gen_random(n, bound, seed), False)
+          for n, bound, seed in [(12, 12, 1), (30, 30, 2), (40, 10 ** 6, 3), (25, 25, 4)]),
+        *((gen_grid(m), False) for m in (3, 4, 5, 6)),
+        *((gen_cubic_progression(m), False) for m in (2, 3, 4, 5)),
+        (gen_projection_augmented(gen_grid(3), CanonicalLine.of(1, -7, 100)), False),
+        (gen_projection_augmented(PointSet.of([(0, 0), ("1/2", "1/3"), (2, "5/7"), (-1, 3)]),
+                                  CanonicalLine.of(3, -2, 1)), False),
+        (gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7), (5, -2)]), True),
+        (gen_rich_line_plus(9, [(0, j) for j in range(1, 8)] + [(1, 1)]), True),
+        (gen_rich_line_plus(14, [(0, 1), (1, 1), (2, 1), (1, 2), (3, "1/2")]), True),
+        (centre_first(7), False), (centre_first(5), False),
+        (RATIONAL_TOP_TIE, False), (RATIONAL_ORDINARY_TIE, False),
+    ])
+    def test_matches_first_ordinary_pair(self, P, off_top):
+        indices = off_top_line(P) if off_top else None
+        assert find_ordinary_line(P, indices) == first_ordinary_pair(P, indices)
+
+    def test_skips_a_line_noted_by_an_earlier_row(self):
+        # (3, 3), (0, 1) and (6, 5) are the only grid points on their line:
+        # row 0 notes it, and row 1 sees it first, as a group of one point
+        first = [(3, 3), (0, 1), (6, 5)]
+        P = PointSet.of(first + [(x, y) for x in range(7) for y in range(7)
+                                 if (x, y) not in first])
+        l, i, j = find_ordinary_line(P)
+        assert (l, i, j) == first_ordinary_pair(P) and (i, j) != (1, 2)
+
+    def test_collinear_remainder_rejected(self):
+        P = PointSet.of([(i, 0) for i in range(6)] + [(0, 1), (1, 1), (2, 1)])
+        with pytest.raises(SylvesterGallaiError, match="collinear"):
+            find_ordinary_line(P, off_top_line(P))
 
     def test_collinear_rejected(self):
         with pytest.raises(SylvesterGallaiError):

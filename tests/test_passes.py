@@ -3,7 +3,10 @@
 A pass is one `line_census` call; the pair kernel `_scaled_line_key` makes
 one pass per C(n, 2) calls.  Both are wrapped at every binding in the
 package, so a call through any import counts.  No command uses the pair
-kernel: only the tests' brute-force oracle keys pairs one at a time.
+kernel: only the tests' brute-force oracle keys pairs one at a time.  The
+rich-line path's search for an ordinary line off the rich line groups the
+pairs of its rows as the census does, by `_normals`; it typically stops in
+its first row, which the count of computed normals checks.
 """
 import json
 import sys
@@ -14,32 +17,53 @@ import pytest
 
 import ordtri.cli
 import ordtri.incidence
-from ordtri.generators import gen_two_line_union
+from ordtri.generators import gen_random, gen_two_line_union
 from ordtri.pointfile import format_points
 
 DATA = Path(__file__).parent / "data"
 WATCHED = {"line_census": ordtri.incidence, "_scaled_line_key": ordtri.incidence}
 
 
+def wrap_every_binding(monkeypatch, home, name, wrap):
+    original = getattr(home, name)
+    wrapper = wrap(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "ordtri" or mod_name.startswith("ordtri."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     counts = Counter()
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counting(name):
+        def wrap(fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return wrap
+
+    for name, home in WATCHED.items():
+        wrap_every_binding(monkeypatch, home, name, counting(name))
+    return counts
+
+
+@pytest.fixture
+def normals(monkeypatch):
+    """The number of pair normals computed, by every caller of `_normals`."""
+    counts = Counter()
+
+    def wrap(fn):
+        def counted(x0, y0, others):
+            out = fn(x0, y0, others)
+            counts["normals"] += len(out)
+            return out
         return counted
 
-    modules = [m for name, m in sys.modules.items()
-               if name == "ordtri" or name.startswith("ordtri.")]
-    for name, home in WATCHED.items():
-        original = getattr(home, name)
-        wrapper = counting(name, original)
-        for mod in modules:
-            for attr, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+    wrap_every_binding(monkeypatch, ordtri.incidence, "_normals", wrap)
     return counts
 
 
@@ -69,19 +93,30 @@ def test_one_census_and_no_pair_kernel(capsys, monkeypatch, calls, argv, case):
 def test_rich_line_path_censuses_p_and_the_points_off_the_line(capsys, monkeypatch, calls):
     report = run(capsys, monkeypatch, "find", "rich.txt")
     assert report["case_taken"] == "RichLine"
-    assert calls == {"line_census": 2}
+    assert calls == {"line_census": 1}
 
 
-# the second input takes the rich-line path first, whose census of the
-# points off the line finds them collinear
-@pytest.mark.parametrize("n1, n2, c, censuses", [(30, 30, "3", 1), (30, 8, "5", 2)],
+def test_fast_mode_computes_one_census_of_normals(capsys, monkeypatch, tmp_path, normals):
+    """The census, the ordinary-line search's first row and the pencils of
+    q and r: at most C(n, 2) + 4n normals."""
+    n = 300
+    path = tmp_path / "random.txt"
+    path.write_text(format_points(gen_random(n, 10 ** 6, 1)))
+    assert ordtri.cli.main(["find", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["case_taken"] == "RichLine"
+    assert n * (n - 1) // 2 < normals["normals"] <= n * (n - 1) // 2 + 4 * n
+
+
+# the second input takes the rich-line path first, whose search off the line
+# finds the points there collinear
+@pytest.mark.parametrize("n1, n2, c", [(30, 30, "3"), (30, 8, "5")],
                          ids=["no-line-above-alpha-n", "points-off-the-line-collinear"])
 def test_fast_mode_reports_no_triangle_from_the_poor_graph(capsys, monkeypatch, calls,
-                                                          tmp_path, n1, n2, c, censuses):
+                                                          tmp_path, n1, n2, c):
     path = tmp_path / "two-line.txt"
     path.write_text(format_points(gen_two_line_union(n1, n2)))
     assert ordtri.cli.main(["find", str(path), "--c", c]) == 3
     report = json.loads(capsys.readouterr().out)
     assert (report["case_taken"], report["count"], report["triangles"]) == ("PoorGraph", 0, [])
-    assert calls == {"line_census": censuses}
+    assert calls == {"line_census": 1}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from math import comb
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtri.geom import CanonicalLine, line_through, orientation, point
+import ordtri.triangles
 from ordtri.incidence import DegeneracyTag, InvariantError, PointSet, line_census
 from ordtri.triangles import (
     CaseTaken,
@@ -32,6 +34,7 @@ from reference import (
     count_triangles,
     enumerate_all_c_ordinary,
     enumerate_lines,
+    first_ordinary_pair,
     points_on_line,
     validate_c_ordinary,
 )
@@ -68,8 +71,8 @@ class TestValidate:
 
     def test_grid_threshold_sensitivity(self):
         # (0,0), (2,2), (1,0): the diagonal and the x-axis both hold 3 points
-        triple = (GRID3.index[point(0, 0)], GRID3.index[point(2, 2)],
-                  GRID3.index[point(1, 0)])
+        triple = (GRID3.points.index(point(0, 0)), GRID3.points.index(point(2, 2)),
+                  GRID3.points.index(point(1, 0)))
         assert not validate_c_ordinary(GRID3, GRID3_PROFILE, triple, 2)
         assert validate_c_ordinary(GRID3, GRID3_PROFILE, triple, 3)
 
@@ -219,17 +222,15 @@ RICH_EXAMPLE = gen_rich_line_plus(10, [(0, 1), (1, 1), (2, 3)])
 
 def profile_rich_case(P, c):
     """The rich-line path spelled out on the full line profile: the line of
-    maximum multiplicity with the lowest triple, the lowest ordinary line of
-    the points off it, and the apexes excluded by the profile."""
+    maximum multiplicity with the lowest triple, the ordinary line of the
+    points off it through their first index pair, and the apexes excluded
+    by the profile."""
     prof = enumerate_lines(P)
     top = prof.max_multiplicity
     line = min((l for l, m in prof.entries.items() if m == top), key=CanonicalLine.triple)
     on = points_on_line(P, line)
-    rest = PointSet(tuple(p for i, p in enumerate(P) if i not in on))
-    rest_prof = enumerate_lines(rest)
-    ordinary = min((l for l, m in rest_prof.entries.items() if m == 2),
-                   key=CanonicalLine.triple)
-    q, r = (rest[i] for i in points_on_line(rest, ordinary))
+    _, qi, ri = first_ordinary_pair(P, [i for i in range(len(P)) if i not in on])
+    q, r = P[qi], P[ri]
     too_rich = {i for i in on for apex in (q, r)
                 if prof.entries[line_through(P[i], apex)] > c}
     crossing = {i for i in on if orientation(P[i], q, r) == 0}
@@ -282,6 +283,29 @@ class TestRichCase:
         assert (witness.q, witness.r) == (point(0, 1), point(1, 1))
         assert witness.excluded == {0} and 0 not in witness.survivors
         assert len(tris) == 8
+
+    # a finder that returns a pair on a line of many points, or a census
+    # whose top line lists the wrong members, trips each check in turn; the
+    # crossing check is implied by the first, so only pencils that put every
+    # point on one 2-point line through q trip it alone
+    @pytest.mark.parametrize("P, members, c, qi, ri, message", [
+        (RICH_EXAMPLE, None, 10, 0, 1, "extra points"),
+        (RICH_EXAMPLE, None, 10, 10, 11, "twice"),
+        (PointSet.of([(0, j) for j in range(6)] + [(1, 0)]), (0, 1, 2, 3, 4), 5, 5, 6,
+         "reach l/4"),
+        (gen_rich_line_plus(4, [(0, 1), (0, 2), (1, 1)]), (0,), 100, 4, 5, "survivors"),
+    ], ids=["qr-line-holds-4", "crossing-twice", "exclusions-reach-l/4", "no-survivor"])
+    def test_checks_raise_invariant_error(self, monkeypatch, P, members, c, qi, ri, message):
+        census = line_census(P, top=True)
+        if members is not None:
+            census = dataclasses.replace(census, members={census.top: members})
+        monkeypatch.setattr(ordtri.triangles, "find_ordinary_line",
+                            lambda P, indices: (None, qi, ri))
+        if message == "twice":
+            monkeypatch.setattr(ordtri.triangles, "_pencil", lambda pts, k: (
+                [None if i == k else (0, 1) for i in range(len(pts))], {(0, 1): 2}))
+        with pytest.raises(InvariantError, match=message):
+            find_case_rich_line(P, census, c)
 
     def test_matches_profile_definition(self):
         rng = random.Random(5)
@@ -341,7 +365,7 @@ class TestCountOnly:
             | {(2, 7), (3, 9), (-4, 6)}
         P = PointSet.of(sorted(pts))
         census = line_census(P, rich_threshold=3)
-        origin = P.index[point(0, 0)]
+        origin = P.points.index(point(0, 0))
         through_origin = [line for line, _ in census.rich if origin in census.members[line]]
         assert len(through_origin) >= 3
         for c in (3, 4):
