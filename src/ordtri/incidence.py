@@ -6,7 +6,10 @@ histogram and spectrum of the determined lines, and the members of the
 lines asked for, without keeping an object per line.  The pair loop runs
 over integer-scaled coordinates (clearing denominators per axis preserves
 collinearity), so the O(n^2) kernel is pure machine-int arithmetic even for
-rational inputs.
+rational inputs.  It visits the points in sweep order (Y descending, then
+X ascending), so every later point lies on the side of the current one
+where the pair's normal is already sign-normalized, and the kernel has no
+sign branch.
 """
 from __future__ import annotations
 
@@ -78,7 +81,8 @@ class PointSet:
         collinearity and line multiplicities are preserved."""
         sx = lcm(*(p.x.denominator for p in self.points)) if self.points else 1
         sy = lcm(*(p.y.denominator for p in self.points)) if self.points else 1
-        pts = [(int(p.x * sx), int(p.y * sy)) for p in self.points]
+        pts = [(p.x.numerator * (sx // p.x.denominator), p.y.numerator * (sy // p.y.denominator))
+               for p in self.points]
         return pts, sx, sy
 
     @cached_property
@@ -123,19 +127,21 @@ def _unscale(key: tuple[int, int, int], sx: int, sy: int) -> tuple[int, int, int
 
 
 def _normals(x0: int, y0: int, others) -> list[tuple[int, int]]:
-    """Primitive normal (a, b) of the line through (x0, y0) and each other
-    scaled point, sign-normalized like a CanonicalLine (a > 0, or a = 0 and
-    b > 0).  Two points share a normal iff they are collinear with (x0, y0);
-    the line's key is (a, b, -(a*x0 + b*y0)), already primitive."""
-    out = []
-    for x, y in others:
-        a = y0 - y
-        b = x - x0
-        g = gcd(a, b)
-        if a < 0 or (a == 0 and b < 0):
-            g = -g
-        out.append((a // g, b // g))
-    return out
+    """Primitive normal (a, b) = (y0 - y, x - x0) / gcd of the line through
+    (x0, y0) and each other scaled point.  Two points share a normal iff
+    they are collinear with (x0, y0); the line's key is
+    (a, b, -(a*x0 + b*y0)), already primitive.
+
+    The gcd is non-negative, so a normal is sign-normalized like a
+    CanonicalLine (a > 0, or a = 0 and b > 0) exactly when the other point
+    comes later in sweep order: lower, or as high and to the right."""
+    return [((dy := y0 - y) // (g := gcd(dy, dx := x - x0)), dx // g) for x, y in others]
+
+
+def _oriented(x0: int, y0: int, others) -> list[tuple[int, int]]:
+    """The normals of _normals toward points on either side of (x0, y0),
+    sign-normalized."""
+    return [nm if nm > (0, 0) else (-nm[0], -nm[1]) for nm in _normals(x0, y0, others)]
 
 
 def _pencil(pts: list[tuple[int, int]], k: int
@@ -143,9 +149,10 @@ def _pencil(pts: list[tuple[int, int]], k: int
     """The lines through point k: the normal toward every point (None at k
     itself) and the multiplicity of each line, in O(n)."""
     xk, yk = pts[k]
-    before, after = _normals(xk, yk, pts[:k]), _normals(xk, yk, pts[k + 1:])
-    mult = {normal: size + 1 for normal, size in Counter(before + after).items()}
-    return before + [None] + after, mult
+    toward = _oriented(xk, yk, pts[:k] + pts[k + 1:])
+    mult = {normal: size + 1 for normal, size in Counter(toward).items()}
+    toward.insert(k, None)
+    return toward, mult
 
 
 class DegeneracyTag(Enum):
@@ -220,7 +227,7 @@ def find_ordinary_line(P: PointSet, indices: Optional[Sequence[int]] = None
     seen: set[tuple[int, int, int]] = set()
     for a in range(len(sub) - 1):
         xi, yi = sub[a]
-        normals = _normals(xi, yi, sub[a + 1:])
+        normals = _oriented(xi, yi, sub[a + 1:])
         groups = Counter(normals)
         single = map((1).__eq__, map(groups.__getitem__, normals))
         for b, (na, nb) in compress(enumerate(normals, a + 1), single):
@@ -273,54 +280,67 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
                 top: bool = False) -> LineCensus:
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
 
-    For each point i, later points are grouped by the normal of their line
-    through i.  A line whose points have indices i1 < ... < il produces
-    exactly one group of each size l-1, ..., 1, so the number of groups of
-    size s equals f(s+1) and the full multiplicity histogram follows without
-    storing any line.
+    The points are visited in sweep order: scaled Y descending, then X
+    ascending.  For each point, the points after it in that order are
+    grouped by the normal of their line through it.  Each of them lies
+    below it, or level with it and to its right, so _normals returns their
+    normals already sign-normalized and the kernel needs no sign fix.  A
+    line whose points come in sweep order p1, ..., pl produces exactly one
+    group of each size l-1, ..., 1, so the number of groups of size s
+    equals f(s+1) and the full multiplicity histogram follows without
+    storing any line.  Most rows on a generic set have no repeated normal;
+    such a row only counts its pairs as groups of one.
 
-    Only the lowest-index point i1 of a line owns its group of size l-1,
-    which is what the optional reports rest on:
+    Only the first point p1 of a line in sweep order owns its group of
+    size l-1, which is what the optional reports rest on:
 
     - rich_threshold: every line with multiplicity > threshold, with its
-      members.  Its owner is the first point to see it in a group of size
-      >= threshold, and that group holds the other members.
+      members as ascending P-indices.  Its owner is the first point to see
+      it in a group of size >= threshold, and that group holds the other
+      members.
     - top: a group of the largest size seen so far belongs to its owner
       (a non-owner's group is smaller than the owner's, seen earlier), so
-      a point whose largest group is smaller has no candidate.
+      a point whose largest group is smaller has no candidate.  top is the
+      least canonical triple of those candidates, whatever the order.
     """
     n = len(P)
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
     pts, sx, sy = P.scaled_ints
+    order = sorted(range(n), key=lambda k: (-pts[k][1], pts[k][0]))
+    swept = [pts[k] for k in order]
     group_size_hist: Counter[int] = Counter()
     rich_seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
     top_size, top_best = 0, None        # top_best: (original triple, scaled key)
-    for i in range(n - 1):
-        xi, yi = pts[i]
+    for r in range(n - 1):
+        xi, yi = swept[r]
         normals = groups = None  # free the last point's groups before building these
-        normals = _normals(xi, yi, pts[i + 1:])
-        groups = Counter(normals)
-        group_size_hist.update(groups.values())
-        largest = max(groups.values())
+        normals = _normals(xi, yi, swept[r + 1:])
+        if len(set(normals)) < len(normals):
+            groups = Counter(normals)
+            group_size_hist.update(groups.values())
+            largest = max(groups.values())
+        else:  # no two later points share a line through this one: all groups of one
+            group_size_hist[1] += len(normals)
+            largest = 1
         if rich_threshold is not None and largest >= rich_threshold:
             owned = {}
-            for (a, b), size in groups.items():
+            for (a, b), size in (groups or dict.fromkeys(normals, 1)).items():
                 if size >= rich_threshold:
                     key = (a, b, -(a * xi + b * yi))
                     if key not in rich_seen:
                         owned[(a, b)] = key
             if owned:
-                found = {normal: [i] for normal in owned}
-                for j, normal in enumerate(normals, i + 1):
+                found = {normal: [order[r]] for normal in owned}
+                for k, normal in zip(order[r + 1:], normals):
                     if normal in found:
-                        found[normal].append(j)
+                        found[normal].append(k)
                 for normal, key in owned.items():
-                    rich_seen[key] = tuple(found[normal])
+                    rich_seen[key] = tuple(sorted(found[normal]))
         if top and largest >= top_size:
             if largest > top_size:
                 top_size, top_best = largest, None
-            candidates = groups if largest == 1 else \
+            candidates = normals if largest == 1 else \
                 compress(groups, map(largest.__eq__, groups.values()))
             if sx == sy == 1:  # keys through one point order as their normals
                 candidates = [min(candidates)]

@@ -1,6 +1,9 @@
 import io
 import itertools
-from math import comb
+import random
+from collections import Counter, defaultdict
+from fractions import Fraction
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,10 @@ from ordtri.incidence import (
     PointSet,
     SylvesterGallaiError,
     UnderdeterminedError,
+    _normals,
+    _oriented,
+    _scaled_line_key,
+    _unscale,
     classify_degeneracy,
     find_ordinary_line,
     line_census,
@@ -63,6 +70,25 @@ CENSUS_SETS = [
     PointSet.of([("1/2", 0), (0, "1/3"), (1, 1), ("1/4", "1/6"), (2, 5)]),
     RATIONAL_TOP_TIE, RATIONAL_ORDINARY_TIE,
 ]
+# Inputs on which the census's sweep order (Y descending, then X ascending)
+# is far from index order, or has ties in Y.
+ORDER_SETS = CENSUS_SETS + [
+    # a horizontal and a vertical line of 5 or 6 points each, twice
+    PointSet.of([(x, 0) for x in range(6)] + [(0, y) for y in range(1, 6)]
+                + [(x, 4) for x in (2, 3, 5, 7)] + [(3, y) for y in (1, 2, 7)]),
+    # many points sharing one Y
+    PointSet.of([(x, 2) for x in range(-7, 8)] + [(0, 0), (1, 5), (-3, -1), (4, 9)]),
+    # negative coordinates
+    PointSet.of([(x - 3, y - 4) for x in range(-1, 4) for y in range(-2, 3)]
+                + [(-17, -5), (-1, -13)]),
+    # coordinates of about 2**200
+    PointSet.of([(2 ** 200 * x + 7, 2 ** 200 * y - 3) for x in range(4) for y in range(4)]
+                + [(2 ** 200 + 1, -2 ** 201), (-2 ** 199, 2 ** 200 + 5)]),
+    # x and y denominators that differ
+    PointSet.of([(Fraction(x, 3), Fraction(y, 5)) for x in range(4) for y in range(4)]
+                + [("1/7", "2/9"), ("-5/2", "1/5")]),
+]
+CENSUS_ASKS = [{"rich_threshold": t} for t in (1, 2, 3, 12000)] + [{"top": True}]
 
 
 class TestEnumerateLines:
@@ -166,6 +192,101 @@ class TestLineCensus:
     def test_reports_only_what_is_asked(self):
         census = line_census(GRID3)
         assert (census.top, census.rich, census.members) == (None, (), {})
+
+
+def brute_force_census(P, rich_threshold=None, top=False):
+    """The census's reports from every pair keyed one at a time: the
+    histogram, the rich lines, the members of the lines reported, the top
+    line."""
+    pts, sx, sy = P.scaled_ints
+    groups = defaultdict(set)
+    for i, j in itertools.combinations(range(len(P)), 2):
+        groups[_scaled_line_key(*pts[i], *pts[j])] |= {i, j}
+    lines = {CanonicalLine(*_unscale(key, sx, sy)): tuple(sorted(idx))
+             for key, idx in groups.items()}
+    rich, members, top_line = (), {}, None
+    if rich_threshold is not None:
+        rich = tuple(sorted(((l, len(idx)) for l, idx in lines.items() if len(idx) > rich_threshold),
+                            key=lambda pair: pair[0].triple()))
+        members.update((l, lines[l]) for l, _ in rich)
+    if top:
+        most = max(map(len, lines.values()))
+        top_line = min((l for l, idx in lines.items() if len(idx) == most), key=CanonicalLine.triple)
+        members[top_line] = lines[top_line]
+    return dict(Counter(map(len, lines.values()))), rich, members, top_line
+
+
+def census_in_p_indices(P, perm, **asks):
+    """The census of P reordered so that its k-th point is P[perm[k]], with
+    its members mapped back to ascending P-indices."""
+    census = line_census(PointSet(tuple(P[k] for k in perm)), **asks)
+    members = {l: tuple(sorted(perm[k] for k in idx)) for l, idx in census.members.items()}
+    return census.count_by_mult, census.rich, members, census.top
+
+
+def sign_normalized_normal(x0, y0, x, y):
+    """The normal of the line through (x0, y0) and (x, y), its sign fixed
+    pair by pair as a CanonicalLine's."""
+    a, b = y0 - y, x - x0
+    g = gcd(a, b)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return (a // g, b // g)
+
+
+class TestCensusOrder:
+    @pytest.mark.parametrize("asks", CENSUS_ASKS,
+                             ids=lambda asks: ",".join(f"{k}={v}" for k, v in asks.items()))
+    @pytest.mark.parametrize("P", ORDER_SETS)
+    def test_independent_of_input_order(self, P, asks):
+        n = len(P)
+        shuffled = list(range(n))
+        random.Random(n).shuffle(shuffled)
+        expected = brute_force_census(P, **asks)
+        for perm in (range(n), shuffled, range(n - 1, -1, -1)):
+            assert census_in_p_indices(P, list(perm), **asks) == expected
+
+    coords = st.integers(-20, 20) | st.integers(-2 ** 70, 2 ** 70)
+
+    @given(st.tuples(coords, coords), st.lists(st.tuples(coords, coords), max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_normals_are_sign_normalized(self, p0, others):
+        others = [q for q in others if q != p0]
+        assert _oriented(*p0, others) == [sign_normalized_normal(*p0, *q) for q in others]
+        later = [q for q in others if (-q[1], q[0]) > (-p0[1], p0[0])]
+        assert _normals(*p0, later) == [sign_normalized_normal(*p0, *q) for q in later]
+
+    def test_rows_with_and_without_a_repeated_normal(self, monkeypatch):
+        """A random set plus a 5-point line: the line's first three points
+        in sweep order see a repeated normal, most rows do not."""
+        P = PointSet.of(list(gen_random(40, 10 ** 6, 2))
+                        + [(10 ** 7 + 3 * t, 5 - 2 * t) for t in range(5)])
+        counters = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args):
+                counters.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ordtri.incidence, "Counter", CountingCounter)
+        for asks in CENSUS_ASKS:
+            counters.clear()
+            assert census_in_p_indices(P, range(len(P)), **asks) == brute_force_census(P, **asks)
+            rows_counted = [args for args in counters if args]  # the histogram starts empty
+            assert 3 <= len(rows_counted) < len(P) - 1
+        census = line_census(P, top=True)
+        assert census.members[census.top] == tuple(range(40, 45))
+
+    def test_threshold_one_lists_every_line_without_a_triple(self):
+        """gen_projection_augmented reads every determined line of its base
+        from line_census(P, rich_threshold=1), also when no row repeats a
+        normal."""
+        P = gen_random(25, 10 ** 9, 4)
+        census = line_census(P, rich_threshold=1)
+        assert census.count_by_mult == {2: comb(25, 2)}
+        assert census.members == {line_through(P[i], P[j]): (i, j)
+                                  for i, j in itertools.combinations(range(25), 2)}
+        assert len(census.rich) == comb(25, 2)
 
 
 class TestClassifyDegeneracy:
