@@ -4,7 +4,6 @@ from .geom import (
     CanonicalLine,
     DegeneratePairError,
     Point,
-    Rational,
     incident,
     intersect,
     line_through,
@@ -33,6 +32,7 @@ from .triangles import (
     TriangleReport,
     build_poor_graph,
     count_c_ordinary,
+    derive_constants,
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
@@ -44,8 +44,6 @@ from .bounds import (
     check_incidence_bound,
     check_medium_sum,
     check_st,
-    count_incidences,
-    derive_constants,
     eg_lower_bound,
     st_threshold,
 )

@@ -1,22 +1,21 @@
 """Empirical verifiers for the incidence bounds, the triangle-count lower
-bound, the medium-line summations, and the derivation of the constants.
+bound and the medium-line summations.
 
 Each verifier judges counts that its caller supplies (the spectrum, the
 number of lines and incidences, a graph's edges and triangles, the
-multiplicity histogram), so one verdict serves a line census as well as
-explicit lines and graphs.  All verdicts are exact: fractional-power
-comparisons are decided by cubing both sides in integer arithmetic, never
-by floating point.
+multiplicity histogram) and never sees a point or a line, so one verdict
+serves a line census as well as explicit lines and graphs.  All verdicts
+are exact: fractional-power comparisons are decided by cubing both sides in
+integer arithmetic, never by floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .geom import CanonicalLine
-from .incidence import InvariantError, PointSet
+from .incidence import InvariantError
 from .triangles import Constants
 
 
@@ -29,13 +28,6 @@ class BoundReport:
     satisfied: bool
     vacuous: bool = False    # threshold direction trivially met (e.g. negative lower bound)
     details: dict = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> Optional[Fraction]:
-        """checked / threshold when meaningful; closeness-to-tight indicator."""
-        if self.threshold == 0:
-            return None
-        return self.checked / self.threshold
 
 
 def st_threshold(n: int, k: int, c_prime: int = 125) -> Fraction:
@@ -71,15 +63,6 @@ def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = 125
             satisfied=fk <= thr,
         ))
     return reports
-
-
-def count_incidences(P: PointSet, lines: list[CanonicalLine]) -> int:
-    """Incidences between P and distinct lines, each tested in integers as
-    a*X + b*Y + c*W == 0 on the point's homogeneous triple."""
-    if len(set(lines)) != len(lines):
-        raise ValueError("duplicate lines")
-    return sum(1 for l in lines for x, y, w in P.homogeneous
-               if l.a * x + l.b * y + l.c * w == 0)
 
 
 def check_incidence_bound(n: int, m: int, inc: int) -> BoundReport:
@@ -124,12 +107,6 @@ def check_eg(n: int, m: int, t3: int, instance: str = "") -> BoundReport:
         vacuous=lower <= 0,
         details={"triangles": t3},
     )
-
-
-def derive_constants(c_prime: int) -> Constants:
-    """c = 96*c' and alpha = 4/(c+1); c' = 125 gives the default c = 12000.
-    Constants rejects c' < 1."""
-    return Constants.for_c(96 * c_prime, c_prime)
 
 
 def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants

@@ -24,23 +24,20 @@ from .incidence import (
     classify_degeneracy,
     line_census,
 )
-from .pointfile import PointFileError, format_points, parse_points
+from .pointfile import PointFileError, _parse_coord, format_coord, format_points, parse_points
 from .triangles import CaseTaken, Constants
 
 REPORT_VERSION = "1"
 
 
-def _frac_str(v) -> str:
-    f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _read_points(path: str) -> PointSet:
     if path == "-":
         return parse_points(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise PointFileError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         return parse_points(fh)
 
 
@@ -55,13 +52,13 @@ def _bound_json(r: bounds.BoundReport) -> dict:
     out = {
         "name": r.name,
         "instance": r.instance,
-        "checked": _frac_str(r.checked),
-        "threshold": _frac_str(r.threshold),
+        "checked": format_coord(r.checked),
+        "threshold": format_coord(r.threshold),
         "satisfied": r.satisfied,
         "vacuous": r.vacuous,
     }
     if r.details:
-        out["details"] = {k: (v if isinstance(v, (int, bool)) else _frac_str(v))
+        out["details"] = {k: (v if isinstance(v, (int, bool)) else format_coord(v))
                           for k, v in r.details.items()}
     return out
 
@@ -92,8 +89,8 @@ def cmd_generate(args) -> int:
         P = generators.gen_random(_require(args, "n"), _require(args, "bound"),
                                   args.seed if args.seed is not None else 0)
     elif kind == "rich-line":
-        extras = [tuple(Fraction(t) for t in e.split(",")) for e in args.extra or []]
-        P = generators.gen_rich_line_plus(_require(args, "k"), extras)
+        P = generators.gen_rich_line_plus(_require(args, "k"),
+                                          [_parse_extra(e) for e in args.extra or []])
     elif kind == "projection":
         if not args.input:
             raise ValueError("--kind projection requires --input")
@@ -106,6 +103,14 @@ def cmd_generate(args) -> int:
         raise ValueError(f"unknown kind {kind!r}")
     sys.stdout.write(format_points(P))
     return 0
+
+
+def _parse_extra(text: str) -> tuple[Fraction, Fraction]:
+    """An --extra X,Y point, each coordinate in the point-file grammar."""
+    where, toks = f"--extra {text!r}", text.split(",")
+    if len(toks) != 2:
+        raise PointFileError(f"{where}: expected 'X,Y'")
+    return _parse_coord(toks[0], where), _parse_coord(toks[1], where)
 
 
 def _require(args, name):
@@ -173,7 +178,7 @@ def cmd_find(args) -> int:
         elif n >= 2:
             spectrum = line_census(P).spectrum_table()
     else:
-        constants = Constants.for_c(args.c, args.c_prime)
+        constants = Constants(args.c, args.c_prime)
         rep = triangles.find_c_ordinary(P, constants, mode=args.mode, limit=args.limit)
         count, tris = rep.count, list(rep.triangles)
         classification = rep.classification
@@ -197,8 +202,8 @@ def cmd_find(args) -> int:
     if witness is not None:
         report["rich_case"] = {
             "rich_line": list(witness.rich_line.triple()),
-            "q": [_frac_str(witness.q.x), _frac_str(witness.q.y)],
-            "r": [_frac_str(witness.r.x), _frac_str(witness.r.y)],
+            "q": [format_coord(witness.q.x), format_coord(witness.q.y)],
+            "r": [format_coord(witness.r.x), format_coord(witness.r.y)],
             "excluded": sorted(witness.excluded),
             "survivors": sorted(witness.survivors),
             "guaranteed_minimum": witness.guarantee,
@@ -215,7 +220,7 @@ def cmd_verify_bounds(args) -> int:
     n = len(P)
     if n < 2:
         raise PointFileError("need at least 2 points to verify bounds")
-    constants = Constants.for_c(args.c, args.c_prime)
+    constants = Constants(args.c, args.c_prime)
     # every bound reads this one census: its lines are the determined lines,
     # each holding exactly its multiplicity l of points
     census = line_census(P, rich_threshold=args.c)
@@ -239,12 +244,12 @@ def cmd_verify_bounds(args) -> int:
         "parameters": {"input": args.input, "c": args.c, "c_prime": args.c_prime},
         "n": n,
         "constants": {"c": constants.c, "c_prime": constants.c_prime,
-                      "alpha": _frac_str(constants.alpha),
+                      "alpha": format_coord(constants.alpha),
                       "dyadic_sum_constants": {
-                          "below_sqrt_n": _frac_str(Fraction(8 * args.c_prime * n * n,
-                                                             args.c + 1)),
-                          "above_sqrt_n": _frac_str(Fraction(16 * args.c_prime * n * n,
-                                                             args.c + 1)),
+                          "below_sqrt_n": format_coord(Fraction(8 * args.c_prime * n * n,
+                                                                args.c + 1)),
+                          "above_sqrt_n": format_coord(Fraction(16 * args.c_prime * n * n,
+                                                                args.c + 1)),
                       }},
         "bounds": [_bound_json(r) for r in reports],
         "skipped": skipped,
@@ -313,7 +318,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (PointFileError, FileNotFoundError, ValueError) as exc:
+    except (PointFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -10,10 +10,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-# Exact coordinate carrier.  Fraction already maintains the invariants we need:
-# positive denominator, gcd-reduced, 0 == Fraction(0, 1).
-Rational = Fraction
-
 
 class DegeneratePairError(ValueError):
     """Line requested through two coincident points."""

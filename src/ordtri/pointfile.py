@@ -17,13 +17,14 @@ _COORD = re.compile(r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?$")  # ASCII digits, q > 0
 
 
 class PointFileError(ValueError):
-    """Parse failure; message carries the offending line numbers."""
+    """Parse failure; message carries where it failed (line numbers, option)."""
 
 
-def _parse_coord(tok: str, lineno: int) -> Fraction:
+def _parse_coord(tok: str, where: str) -> Fraction:
+    """One coordinate token; where locates it in the error message."""
     if not _COORD.match(tok):
         raise PointFileError(
-            f"line {lineno}: bad coordinate {tok!r} (integer or p/q rational required)")
+            f"{where}: bad coordinate {tok!r} (integer or p/q rational required)")
     return Fraction(tok)
 
 
@@ -38,7 +39,8 @@ def parse_points(stream: TextIO) -> PointSet:
         toks = line.split()
         if len(toks) != 2:
             raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
-        p = Point(_parse_coord(toks[0], lineno), _parse_coord(toks[1], lineno))
+        where = f"line {lineno}"
+        p = Point(_parse_coord(toks[0], where), _parse_coord(toks[1], where))
         if p in seen:
             duplicates.append(f"line {lineno} repeats line {seen[p]}")
         else:

@@ -39,14 +39,13 @@ class RichCasePreconditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constants:
-    """Richness threshold c with its companion ratio alpha = 4/(c+1).
+    """Richness threshold c; the paper's alpha = 4/(c+1) follows from it.
 
     c_prime is the incidence-bound constant the default c is derived from;
     it is carried along for reporting only.
     """
 
     c: int
-    alpha: Fraction
     c_prime: Optional[int] = None
 
     def __post_init__(self):
@@ -54,20 +53,24 @@ class Constants:
             raise ValueError("c_prime must be >= 1")
         if self.c < 3:
             raise ValueError("c must be an integer >= 3")
-        if self.alpha != Fraction(4, self.c + 1):
-            raise ValueError("alpha must equal 4/(c+1)")
 
-    @classmethod
-    def for_c(cls, c: int, c_prime: Optional[int] = None) -> "Constants":
-        return cls(c=c, alpha=Fraction(4, c + 1), c_prime=c_prime)
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(4, self.c + 1)
 
     def exceeds_alpha_n(self, l: int, n: int) -> bool:
         """l > alpha*n, decided in integers as (c+1)*l > 4*n."""
         return (self.c + 1) * l > 4 * n
 
 
+def derive_constants(c_prime: int) -> Constants:
+    """c = 96*c' and alpha = 4/(c+1); c' = 125 gives the default c = 12000.
+    Constants rejects c' < 1."""
+    return Constants(96 * c_prime, c_prime)
+
+
 DEFAULT_C_PRIME = 125
-DEFAULT_CONSTANTS = Constants.for_c(96 * DEFAULT_C_PRIME, DEFAULT_C_PRIME)  # c = 12000
+DEFAULT_CONSTANTS = derive_constants(DEFAULT_C_PRIME)
 
 
 def _bit_indices(bits: int):
@@ -112,7 +115,6 @@ class TriangleReport:
     triangles: tuple[tuple[int, int, int], ...]  # possibly truncated
     count: int
     count_is_exact: bool  # False: count is a proven lower bound
-    constants: Constants
     rich_witness: Optional[RichCaseWitness] = None
     spectrum: tuple[tuple[int, int], ...] = ()  # [(k, f(k))] from the census
 
@@ -206,7 +208,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         raise RichCasePreconditionError("census of P without its top line")
     on_idx = census.members[rich_line]
     l_i = len(on_idx)
-    if not Constants.for_c(c).exceeds_alpha_n(l_i, n):
+    if not Constants(c).exceeds_alpha_n(l_i, n):
         raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
     on_set = set(on_idx)
     try:
@@ -341,8 +343,7 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
         return TriangleReport(classification=classification, case_taken=case,
                               triangles=tuple(tuple(t) for t in triangles),
                               count=count, count_is_exact=exact,
-                              constants=constants, rich_witness=witness,
-                              spectrum=spectrum)
+                              rich_witness=witness, spectrum=spectrum)
 
     if tag in (DegeneracyTag.TOO_SMALL, DegeneracyTag.ALL_COLLINEAR):
         return report(CaseTaken.DEGENERATE, (), 0, True)

@@ -11,7 +11,9 @@ tests check it against:
 - ``first_ordinary_pair`` tests each pair's line against every point, in
   index order, until one holds no third point;
 - ``PoorGraph`` holds a graph as sorted adjacency tuples, and
-  ``count_triangles`` counts its triangles.
+  ``count_triangles`` counts its triangles;
+- ``count_incidences`` tests every point against every given line, where
+  the package sums the census histogram.
 """
 from __future__ import annotations
 
@@ -97,6 +99,15 @@ def spectrum_f(profile: IncidenceProfile, k: int) -> int:
 def spectrum_table(profile: IncidenceProfile) -> list[tuple[int, int]]:
     """[(k, f(k))] for k = 2 .. max multiplicity."""
     return [(k, spectrum_f(profile, k)) for k in range(2, profile.max_multiplicity + 1)]
+
+
+def count_incidences(P: PointSet, lines: list[CanonicalLine]) -> int:
+    """Incidences between P and distinct lines, each tested in integers as
+    a*X + b*Y + c*W == 0 on the point's homogeneous triple."""
+    if len(set(lines)) != len(lines):
+        raise ValueError("duplicate lines")
+    return sum(1 for l in lines for x, y, w in P.homogeneous
+               if l.a * x + l.b * y + l.c * w == 0)
 
 
 def points_on_line(P: PointSet, l: CanonicalLine) -> list[int]:

@@ -17,8 +17,6 @@ from ordtri.bounds import (
     check_eg,
     check_incidence_bound,
     check_st,
-    count_incidences,
-    derive_constants,
     eg_lower_bound,
 )
 from ordtri.cli import main
@@ -32,9 +30,10 @@ from ordtri.generators import (
 )
 from ordtri.geom import CanonicalLine, line_through
 from ordtri.incidence import PointSet, find_ordinary_line, line_census
-from ordtri.triangles import Constants, build_poor_graph, find_c_ordinary
+from ordtri.triangles import Constants, build_poor_graph, derive_constants, find_c_ordinary
 from reference import (
     PoorGraph,
+    count_incidences,
     count_triangles,
     enumerate_all_c_ordinary,
     enumerate_lines,
@@ -206,7 +205,7 @@ def test_criterion_06_oracle_equivalence(corpus):
         for c in C_VALUES:
             limit = 500 if big else None
             oracle_count, _ = enumerate_all_c_ordinary(P, c, limit=limit)
-            rep = find_c_ordinary(P, Constants.for_c(c, 125),
+            rep = find_c_ordinary(P, Constants(c, 125),
                                   mode="exhaustive", limit=limit)
             assert rep.count == oracle_count, (name, c)
             assert rep.count_is_exact
@@ -221,7 +220,7 @@ def test_criterion_06_oracle_equivalence(corpus):
 
 
 def test_criterion_07_rich_case_guarantee():
-    const = Constants.for_c(10, 125)
+    const = Constants(10, 125)
     count = 0
     for k in range(8, 28):
         P = gen_rich_line_plus(k, rich_extras(k))

@@ -11,16 +11,20 @@ from ordtri.bounds import (
     check_incidence_bound,
     check_medium_sum,
     check_st,
-    count_incidences,
-    derive_constants,
     eg_lower_bound,
     st_threshold,
 )
 from ordtri.incidence import PointSet, line_census
-from ordtri.triangles import Constants, build_poor_graph
+from ordtri.triangles import Constants, build_poor_graph, derive_constants
 from ordtri.generators import gen_grid, gen_projection_augmented, gen_random
 from ordtri.geom import CanonicalLine
-from reference import PoorGraph, count_triangles, enumerate_lines, spectrum_table
+from reference import (
+    PoorGraph,
+    count_incidences,
+    count_triangles,
+    enumerate_lines,
+    spectrum_table,
+)
 
 
 def make_graph(n, edges):
@@ -237,7 +241,7 @@ class TestMediumSum:
         P = gen_random(20, 10 ** 6, 5)
         prof = enumerate_lines(P)
         assert prof.max_multiplicity == 2  # verified, not assumed
-        reports = medium_sum_of(prof, Constants.for_c(3, 125))
+        reports = medium_sum_of(prof, Constants(3, 125))
         assert all(r.satisfied for r in reports)
         assert reports[0].checked == 0
 
@@ -247,7 +251,7 @@ class TestMediumSum:
         # spectrum the c=2-style sum 8 * C(3,2) = 24 is checked via census
         mults = list(prof.entries.values())
         assert sum(comb(l, 2) for l in mults if l > 2) == 24
-        reports = medium_sum_of(prof, Constants.for_c(3, 125))
+        reports = medium_sum_of(prof, Constants(3, 125))
         assert all(r.satisfied for r in reports)
 
     def test_precondition_rich_line(self):
@@ -255,7 +259,7 @@ class TestMediumSum:
         P = PointSet.of([(i, 0) for i in range(9)] + [(0, 1)])
         prof = enumerate_lines(P)
         with pytest.raises(ValueError):
-            medium_sum_of(prof, Constants.for_c(7, 125))
+            medium_sum_of(prof, Constants(7, 125))
 
     def test_dyadic_halves_count_only_lines_above_c(self):
         # the 4-point line has l*l > n = 9: medium above sqrt n at c = 3,
@@ -263,14 +267,14 @@ class TestMediumSum:
         P = PointSet.of([(i, 0) for i in range(4)] + [(0, 1), (1, 2), (3, 5), (7, 2), (5, 9)])
         prof = enumerate_lines(P)
         assert prof.max_multiplicity == 4
-        assert [r.checked for r in medium_sum_of(prof, Constants.for_c(3, 125))[:3]] == [6, 0, 6]
-        assert [r.checked for r in medium_sum_of(prof, Constants.for_c(5, 125))[:3]] == [0, 0, 0]
+        assert [r.checked for r in medium_sum_of(prof, Constants(3, 125))[:3]] == [6, 0, 6]
+        assert [r.checked for r in medium_sum_of(prof, Constants(5, 125))[:3]] == [0, 0, 0]
 
     def test_edge_floor_corollary(self):
         for seed in range(5):
             P = gen_random(25, 30, seed)
             prof = enumerate_lines(P)
-            const = Constants.for_c(5, 125)
+            const = Constants(5, 125)
             if any((const.c + 1) * l > 4 * len(P) for l in prof.entries.values()):
                 continue
             reports = medium_sum_of(prof, const)

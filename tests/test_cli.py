@@ -97,6 +97,27 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--kind", "grid")
         assert code == 2 and "size" in err
 
+    # an --extra token must read exactly as the same token in a point file
+    @pytest.mark.parametrize("tok", ["1.5", "1e3", "1/0", "\u0663", "0x10", "", "-3/7", "+2",
+                                     "007/010"])
+    def test_extra_follows_the_point_file_grammar(self, capsys, tok):
+        try:
+            expected = parse_points(io.StringIO(f"{tok} 5\n"))[0]
+        except PointFileError:
+            expected = None
+        code, out, err = run(capsys, "generate", "--kind", "rich-line", "--k", "4",
+                             f"--extra={tok},5")  # '=': a leading '-' is not an option
+        if expected is None:
+            assert (code, out) == (2, "") and err.startswith(f"error: --extra '{tok},5': ")
+        else:
+            assert code == 0 and parse_points(io.StringIO(out))[-1] == expected
+
+    @pytest.mark.parametrize("extra", ["1", "1,2,3", ""])
+    def test_extra_needs_two_coordinates(self, capsys, extra):
+        code, out, err = run(capsys, "generate", "--kind", "rich-line", "--k", "4",
+                             f"--extra={extra}")
+        assert (code, out) == (2, "") and err == f"error: --extra {extra!r}: expected 'X,Y'\n"
+
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "generate", "--kind", "random",
                          "--n", "20", "--bound", "100", "--seed", "5")
@@ -129,6 +150,17 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/points.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["find"], ["verify-bounds"],
+                                      ["generate", "--kind", "projection", "--line", "1,-1,5",
+                                       "--input"]],
+                             ids=["analyze", "find", "verify-bounds", "generate-projection"])
+    @pytest.mark.parametrize("name", ["", "missing.txt"], ids=["directory", "missing"])
+    def test_unreadable_input_is_an_input_error(self, capsys, tmp_path, argv, name):
+        path = str(tmp_path / name) if name else str(tmp_path)
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n1 0\n0 1\n"))
