@@ -1,61 +1,40 @@
-"""Exact-arithmetic toolkit for c-ordinary triangles in planar point sets."""
+"""Exact-arithmetic toolkit for c-ordinary triangles in planar point sets.
 
-from .geom import (
-    CanonicalLine,
-    DegeneratePairError,
-    Point,
-    incident,
-    intersect,
-    line_through,
-    orientation,
-    point,
-)
-from .incidence import (
-    DegeneracyClass,
-    DegeneracyTag,
-    InvariantError,
-    LineCensus,
-    PointSet,
-    SylvesterGallaiError,
-    UnderdeterminedError,
-    classify_degeneracy,
-    find_ordinary_line,
-    line_census,
-)
-from .triangles import (
-    DEFAULT_C_PRIME,
-    DEFAULT_CONSTANTS,
-    CaseTaken,
-    Constants,
-    RichCasePreconditionError,
-    RichCaseWitness,
-    TriangleReport,
-    build_poor_graph,
-    count_c_ordinary,
-    derive_constants,
-    find_c_ordinary,
-    find_case_poor_graph,
-    find_case_rich_line,
-    poor_graph_size,
-)
-from .bounds import (
-    BoundReport,
-    check_eg,
-    check_incidence_bound,
-    check_medium_sum,
-    check_st,
-    eg_lower_bound,
-    st_threshold,
-)
-from .generators import (
-    RANDOM_SCHEME,
-    gen_cubic_progression,
-    gen_grid,
-    gen_projection_augmented,
-    gen_random,
-    gen_rich_line_plus,
-    gen_two_line_union,
-)
-from .pointfile import PointFileError, format_points, parse_points
+The exports load on first use (PEP 562), so a command imports only the
+modules it runs.
+"""
 
+_EXPORTS = {
+    "geom": "CanonicalLine DegeneratePairError Point incident intersect line_through "
+            "orientation point",
+    "incidence": "DegeneracyClass DegeneracyTag InvariantError LineCensus PointSet "
+                 "SylvesterGallaiError UnderdeterminedError classify_degeneracy "
+                 "find_ordinary_line line_census",
+    "triangles": "DEFAULT_C_PRIME DEFAULT_CONSTANTS CaseTaken Constants "
+                 "RichCasePreconditionError RichCaseWitness TriangleReport build_poor_graph "
+                 "count_c_ordinary derive_constants find_c_ordinary find_case_poor_graph "
+                 "find_case_rich_line poor_graph_size",
+    "bounds": "BoundReport check_eg check_incidence_bound check_medium_sum check_st "
+              "eg_lower_bound st_threshold",
+    "generators": "RANDOM_SCHEME gen_cubic_progression gen_grid gen_projection_augmented "
+                  "gen_random gen_rich_line_plus gen_two_line_union",
+    "pointfile": "PointFileError format_points parse_points",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a submodule, as `ordtri.bounds` after `import ordtri`
+        return import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

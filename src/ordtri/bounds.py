@@ -10,24 +10,26 @@ integer arithmetic, never by floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb
-from typing import Iterable
 
 from .incidence import InvariantError
 from .triangles import Constants
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    instance: str
-    checked: Fraction        # the exact quantity on the constrained side
-    threshold: Fraction      # the exact bound it must respect
-    satisfied: bool
-    vacuous: bool = False    # threshold direction trivially met (e.g. negative lower bound)
-    details: dict = field(default_factory=dict)
+class BoundReport(namedtuple("BoundReport",
+                             "name instance checked threshold satisfied vacuous details")):
+    """checked is the exact quantity on the constrained side, threshold the
+    exact bound it must respect; vacuous marks a threshold direction met
+    trivially (e.g. a negative lower bound); details is a new empty dict by
+    default."""
+    __slots__ = ()
+
+    def __new__(cls, name, instance, checked, threshold, satisfied, vacuous=False, details=None):
+        return super().__new__(cls, name, instance, checked, threshold, satisfied, vacuous,
+                               {} if details is None else details)
 
 
 def st_threshold(n: int, k: int, c_prime: int = 125) -> Fraction:

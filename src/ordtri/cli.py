@@ -5,6 +5,10 @@ Reports are JSON on stdout; rationals are serialized as exact "p/q" strings.
 Exit codes: 0 ok/found, 3 no triangle exists (find), 2 input error,
 1 internal error, violated invariant or violated theorem-backed bound,
 141 stdout closed early (broken pipe, 128 + SIGPIPE).
+
+A command imports only what it runs: bounds and generators are imported
+inside the one command that uses each, so the others do not pay for them
+at start-up.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import bounds, generators, triangles
+from . import triangles
 from .geom import CanonicalLine
 from .incidence import (
     InvariantError,
@@ -24,7 +28,14 @@ from .incidence import (
     classify_degeneracy,
     line_census,
 )
-from .pointfile import PointFileError, _parse_coord, format_coord, format_points, parse_points
+from .pointfile import (
+    _INTEGER,
+    PointFileError,
+    _parse_coord,
+    format_coord,
+    format_points,
+    parse_points,
+)
 from .triangles import CaseTaken, Constants
 
 REPORT_VERSION = "1"
@@ -48,7 +59,7 @@ def _degeneracy_json(cls) -> dict:
     }
 
 
-def _bound_json(r: bounds.BoundReport) -> dict:
+def _bound_json(r) -> dict:
     out = {
         "name": r.name,
         "instance": r.instance,
@@ -72,14 +83,19 @@ def _emit(report: dict, started: float) -> None:
 # --- generate ---------------------------------------------------------------
 
 def _parse_line_triple(text: str) -> CanonicalLine:
+    """An --line A,B,C triple, each an integer in the point-file grammar."""
+    toks = text.split(",")
+    if len(toks) != 3 or not all(map(_INTEGER.fullmatch, toks)):
+        raise PointFileError(f"bad line triple {text!r}: expected three integers A,B,C")
     try:
-        a, b, c = (int(t) for t in text.split(","))
-        return CanonicalLine.of(a, b, c)
+        return CanonicalLine.of(*map(int, toks))
     except ValueError as exc:
         raise ValueError(f"bad line triple {text!r}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
+    from . import generators
+
     kind = args.kind
     if kind == "grid":
         P = generators.gen_grid(_require(args, "size"))
@@ -215,6 +231,8 @@ def cmd_find(args) -> int:
 # --- verify-bounds ----------------------------------------------------------
 
 def cmd_verify_bounds(args) -> int:
+    from . import bounds
+
     started = time.perf_counter()
     P = _read_points(args.input)
     n = len(P)

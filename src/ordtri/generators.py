@@ -5,7 +5,7 @@ that kills all 2-ordinary triangles.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from collections.abc import Iterable
 
 from .geom import CanonicalLine, Point, incident, intersect, orientation, point
 from .incidence import PointSet, line_census

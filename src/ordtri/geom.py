@@ -5,20 +5,17 @@ floating point is unsound, so no float ever enters a predicate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 
 class DegeneratePairError(ValueError):
     """Line requested through two coincident points."""
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: Fraction
-    y: Fraction
+class Point(namedtuple("Point", "x y")):
+    __slots__ = ()
 
 
 def point(x, y) -> Point:
@@ -26,8 +23,7 @@ def point(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalLine:
+class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
     """The line a*x + b*y + c = 0 as a primitive, sign-normalized integer triple.
 
     Normalization: gcd(|a|,|b|,|c|) = 1 and a > 0, or a = 0 and b > 0.  Two
@@ -35,17 +31,16 @@ class CanonicalLine:
     identical, so lines are usable as dict keys.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
+    def __new__(cls, a: int, b: int, c: int):
+        if a == 0 and b == 0:
             raise ValueError("not a line: a = b = 0")
-        if gcd(self.a, self.b, self.c) != 1:
-            raise ValueError(f"triple {(self.a, self.b, self.c)} is not primitive")
-        if not (self.a > 0 or (self.a == 0 and self.b > 0)):
-            raise ValueError(f"triple {(self.a, self.b, self.c)} is not sign-normalized")
+        if gcd(a, b, c) != 1:
+            raise ValueError(f"triple {(a, b, c)} is not primitive")
+        if not (a > 0 or (a == 0 and b > 0)):
+            raise ValueError(f"triple {(a, b, c)} is not sign-normalized")
+        return super().__new__(cls, a, b, c)
 
     @classmethod
     def of(cls, a, b, c) -> "CanonicalLine":
@@ -93,7 +88,7 @@ def incident(l: CanonicalLine, p: Point) -> bool:
     return l.a * p.x + l.b * p.y + l.c == 0
 
 
-def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Optional[Point]:
+def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Point | None:
     """Intersection point of two lines, or None for parallel or identical
     lines."""
     det = l1.a * l2.b - l2.a * l1.b

@@ -13,14 +13,13 @@ sign branch.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import comb, gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from .geom import CanonicalLine, Point, line_through
 
@@ -39,20 +38,29 @@ class InvariantError(RuntimeError):
     Raised by explicit checks, so that it still fires under ``python -O``."""
 
 
-@dataclass(frozen=True)
 class PointSet:
     """Ordered, pairwise-distinct points.  Index order is the canonical
     identity used in all reports."""
 
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: tuple[Point, ...]):
+        if len(set(points)) != len(points):
             seen: dict[Point, int] = {}
-            for i, p in enumerate(self.points):
+            for i, p in enumerate(points):
                 if p in seen:
                     raise ValueError(f"duplicate point at indices {seen[p]} and {i}: {p!r}")
                 seen[p] = i
+        self.points = points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __repr__(self):
+        return f"PointSet(points={self.points!r})"
 
     @classmethod
     def of(cls, coords: Iterable) -> "PointSet":
@@ -145,7 +153,7 @@ def _oriented(x0: int, y0: int, others) -> list[tuple[int, int]]:
 
 
 def _pencil(pts: list[tuple[int, int]], k: int
-            ) -> tuple[list[Optional[tuple[int, int]]], dict[tuple[int, int], int]]:
+            ) -> tuple[list[tuple[int, int] | None], dict[tuple[int, int], int]]:
     """The lines through point k: the normal toward every point (None at k
     itself) and the multiplicity of each line, in O(n)."""
     xk, yk = pts[k]
@@ -162,10 +170,9 @@ class DegeneracyTag(Enum):
     NON_DEGENERATE = "NonDegenerate"
 
 
-@dataclass(frozen=True)
-class DegeneracyClass:
-    tag: DegeneracyTag
-    witness: tuple[CanonicalLine, ...] = ()
+class DegeneracyClass(namedtuple("DegeneracyClass", "tag witness", defaults=((),))):
+    """A DegeneracyTag with its witness lines, a tuple of CanonicalLine."""
+    __slots__ = ()
 
 
 def classify_degeneracy(P: PointSet) -> DegeneracyClass:
@@ -204,7 +211,7 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
 
 
-def find_ordinary_line(P: PointSet, indices: Optional[Sequence[int]] = None
+def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
                        ) -> tuple[CanonicalLine, int, int]:
     """An ordinary line of the points at indices (default: all of P), one
     through exactly two of them (Sylvester-Gallai), with their P-indices.
@@ -241,23 +248,20 @@ def find_ordinary_line(P: PointSet, indices: Optional[Sequence[int]] = None
 
 # --- the line census ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LineCensus:
+class LineCensus(namedtuple("LineCensus", "n count_by_mult rich_threshold rich top members")):
     """Multiplicity census of the determined lines, without materializing them.
 
     count_by_mult[l] = number of determined lines with exactly l points.
     rich holds the (few) lines with multiplicity > rich_threshold explicitly.
     top is the lowest canonical triple among the lines of maximum
     multiplicity, None unless asked for.  members maps every line the census
-    reports to its point indices, ascending.
+    reports to its point indices, ascending (a new empty dict by default).
     """
+    __slots__ = ()
 
-    n: int
-    count_by_mult: dict[int, int]
-    rich_threshold: Optional[int]
-    rich: tuple[tuple[CanonicalLine, int], ...] = ()
-    top: Optional[CanonicalLine] = None
-    members: dict[CanonicalLine, tuple[int, ...]] = field(default_factory=dict)
+    def __new__(cls, n, count_by_mult, rich_threshold, rich=(), top=None, members=None):
+        return super().__new__(cls, n, count_by_mult, rich_threshold, rich, top,
+                               {} if members is None else members)
 
     @property
     def line_count(self) -> int:
@@ -276,7 +280,7 @@ class LineCensus:
         return [(k, self.f(k)) for k in range(2, self.max_multiplicity + 1)]
 
 
-def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
+def line_census(P: PointSet, rich_threshold: int | None = None, *,
                 top: bool = False) -> LineCensus:
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
 
@@ -324,12 +328,13 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
             group_size_hist[1] += len(normals)
             largest = 1
         if rich_threshold is not None and largest >= rich_threshold:
+            rich_groups = normals if groups is None else \
+                [normal for normal, size in groups.items() if size >= rich_threshold]
             owned = {}
-            for (a, b), size in (groups or dict.fromkeys(normals, 1)).items():
-                if size >= rich_threshold:
-                    key = (a, b, -(a * xi + b * yi))
-                    if key not in rich_seen:
-                        owned[(a, b)] = key
+            for a, b in rich_groups:
+                key = (a, b, -(a * xi + b * yi))
+                if key not in rich_seen:
+                    owned[(a, b)] = key
             if owned:
                 found = {normal: [order[r]] for normal in owned}
                 for k, normal in zip(order[r + 1:], normals):
@@ -358,8 +363,7 @@ def line_census(P: PointSet, rich_threshold: Optional[int] = None, *,
     if sum(comb(l, 2) * c for l, c in count_by_mult.items()) != comb(n, 2):
         raise InvariantError("pair-sum identity violated by the census")
     members = {CanonicalLine(*_unscale(key, sx, sy)): idx for key, idx in rich_seen.items()}
-    rich = tuple(sorted(((line, len(idx)) for line, idx in members.items()),
-                        key=lambda pair: pair[0].triple()))
+    rich = tuple((line, len(members[line])) for line in sorted(members))
     top_line = None
     if top_best is not None:
         top_line = CanonicalLine(*top_best[0])

@@ -7,13 +7,14 @@ the collinearity structure.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import TextIO
 
 from .geom import Point
 from .incidence import PointSet
 
 _COORD = re.compile(r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?$")  # ASCII digits, q > 0
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
 
 
 class PointFileError(ValueError):
@@ -28,7 +29,7 @@ def _parse_coord(tok: str, where: str) -> Fraction:
     return Fraction(tok)
 
 
-def parse_points(stream: TextIO) -> PointSet:
+def parse_points(stream: Iterable[str]) -> PointSet:
     pts: list[Point] = []
     seen: dict[Point, int] = {}
     duplicates: list[str] = []

@@ -8,17 +8,13 @@ paths exploit.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
-from typing import Optional
 
-from .geom import CanonicalLine, Point
 from .incidence import (
-    DegeneracyClass,
     DegeneracyTag,
     InvariantError,
     LineCensus,
@@ -30,29 +26,25 @@ from .incidence import (
     line_census,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class RichCasePreconditionError(RuntimeError):
     """Rich-line path invoked on an instance that does not satisfy its gate."""
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(namedtuple("Constants", "c c_prime")):
     """Richness threshold c; the paper's alpha = 4/(c+1) follows from it.
 
     c_prime is the incidence-bound constant the default c is derived from;
     it is carried along for reporting only.
     """
+    __slots__ = ()
 
-    c: int
-    c_prime: Optional[int] = None
-
-    def __post_init__(self):
-        if self.c_prime is not None and self.c_prime < 1:
+    def __new__(cls, c: int, c_prime: int | None = None):
+        if c_prime is not None and c_prime < 1:
             raise ValueError("c_prime must be >= 1")
-        if self.c < 3:
+        if c < 3:
             raise ValueError("c must be an integer >= 3")
+        return super().__new__(cls, c, c_prime)
 
     @property
     def alpha(self) -> Fraction:
@@ -98,25 +90,21 @@ class CaseTaken(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class RichCaseWitness:
-    rich_line: CanonicalLine
-    q: Point
-    r: Point
-    excluded: frozenset[int]   # indices on the rich line unusable as apex
-    survivors: frozenset[int]  # indices on the rich line that yield triangles
-    guarantee: int             # proven lower bound ceil(l/2) - 1
+class RichCaseWitness(namedtuple("RichCaseWitness",
+                                  "rich_line q r excluded survivors guarantee")):
+    """The rich line, the ordinary pair (q, r) off it, the frozensets of
+    rich-line indices unusable as apex (excluded) and yielding triangles
+    (survivors), and the proven lower bound ceil(l/2) - 1 (guarantee)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    classification: DegeneracyClass
-    case_taken: CaseTaken
-    triangles: tuple[tuple[int, int, int], ...]  # possibly truncated
-    count: int
-    count_is_exact: bool  # False: count is a proven lower bound
-    rich_witness: Optional[RichCaseWitness] = None
-    spectrum: tuple[tuple[int, int], ...] = ()  # [(k, f(k))] from the census
+class TriangleReport(namedtuple("TriangleReport",
+                                "classification case_taken triangles count count_is_exact "
+                                "rich_witness spectrum", defaults=(None, ()))):
+    """A DegeneracyClass, the CaseTaken, the triangles (possibly truncated),
+    their count, whether it is exact (else a proven lower bound), the
+    RichCaseWitness if any, and the census spectrum [(k, f(k))]."""
+    __slots__ = ()
 
 
 def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
@@ -153,7 +141,7 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
 
 
 def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
-                         limit: Optional[int] = None
+                         limit: int | None = None
                          ) -> tuple[list[tuple[int, int, int]], int]:
     """List the poor-graph triangles i < j < k in ascending order, k from
     the forward bitsets of i and j, dropping collinear triples, up to limit
@@ -228,8 +216,10 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     if len(crossing) > 1:
         raise InvariantError("the ordinary line meets the rich line twice")
     if crossing - (too_rich_q | too_rich_r):
-        logger.info("rich-line case: excluding crossing point %s of the ordinary line",
-                    next(iter(crossing)))
+        import logging  # here, not at the top: only this branch logs
+        logging.getLogger(__name__).info(
+            "rich-line case: excluding crossing point %s of the ordinary line",
+            next(iter(crossing)))
     # exact counting inclusions behind the proof's lower bound
     if not (4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i):
         raise InvariantError("rich-line exclusions reach l/4")
@@ -249,7 +239,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     return witness, triangles
 
 
-def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -> int:
+def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> int:
     """Exact c-ordinary triangle count from one census, listing no triangle.
 
     Works on the multiplicity census: a triple is c-ordinary iff none of its
@@ -307,7 +297,7 @@ def count_c_ordinary(P: PointSet, c: int, census: Optional[LineCensus] = None) -
 
 
 def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
-                    mode: str = "fast", limit: Optional[int] = None) -> TriangleReport:
+                    mode: str = "fast", limit: int | None = None) -> TriangleReport:
     """Dispatching finder.
 
     fast:       rich-line path when some line exceeds alpha*n (lower-bound

@@ -93,6 +93,16 @@ class TestGenerate:
                            "--input", str(tri), "--line", "1,-1,5")
         assert code == 0 and len(out.strip().splitlines()) == 6
 
+    # each --line token must be an integer as a point file writes one
+    @pytest.mark.parametrize("line", ["\u0661,-1,5", "1_0, -1 ,5", "1.0,-1,5", "1,-1", "1,2/1,5"])
+    def test_line_follows_the_point_file_integer_grammar(self, capsys, tmp_path, line):
+        tri = tmp_path / "tri.txt"
+        tri.write_text("0 0\n1 0\n0 1\n")
+        code, out, err = run(capsys, "generate", "--kind", "projection",
+                             "--input", str(tri), f"--line={line}")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad line triple {line!r}: expected three integers A,B,C\n"
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "grid")
         assert code == 2 and "size" in err
@@ -390,6 +400,34 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+class TestStartup:
+    # a command imports only what it runs: compared with the modules the
+    # interpreter's site setup loaded before the first statement (typing on
+    # some hosts), which is the `python -c pass` baseline.  The rich-line
+    # path imports logging only when it logs an excluded crossing point,
+    # which the rich-line-plus input has none of
+    def test_find_loads_no_unused_module(self, grid_file, tmp_path):
+        rich = write_points(tmp_path, gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)]))
+        script = ("import sys\n"
+                  "baseline = set(sys.modules)\n"
+                  "from ordtri import cli\n"
+                  "grid, rich = sys.argv[1:]\n"
+                  "codes = [cli.main(['find', grid, '--c', '3', '--mode', 'count']),\n"
+                  "         cli.main(['find', grid, '--c', '3', '--mode', 'fast']),\n"
+                  "         cli.main(['find', rich])]\n"
+                  "print(*codes, file=sys.stderr)\n"
+                  "print(*(set(sys.modules) - baseline), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script, grid_file, rich],
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = proc.stderr.splitlines()
+        loaded = set(loaded.split())
+        assert codes == "0 0 0" and '"case_taken": "RichLine"' in proc.stdout
+        assert "ordtri.triangles" in loaded
+        unused = {"dataclasses", "inspect", "logging", "ordtri.bounds", "ordtri.generators"}
+        assert not unused & loaded
+
+
 class TestExitPaths:
     def test_invariant_violation_exits_1(self, capsys, grid_file, monkeypatch):
         def broken(*args, **kwargs):
@@ -403,13 +441,12 @@ class TestExitPaths:
         # the census of another set of the same size lists rich-line members
         # that are off those lines in P; a census whose histogram disagrees
         # with its members breaks the poor-graph edge identity
-        script = ("import dataclasses\n"
-                  "from ordtri import InvariantError, PointSet, build_poor_graph, gen_grid, line_census\n"
+        script = ("from ordtri import InvariantError, PointSet, build_poor_graph, gen_grid, line_census\n"
                   "assert False, 'asserts are on'\n"
                   "P = gen_grid(4)\n"
                   "shifted = PointSet.of([(p.x + 1, p.y) for p in P])\n"
                   "census = line_census(P, rich_threshold=3)\n"
-                  "skewed = dataclasses.replace(census, count_by_mult={2: 25, 3: 8})\n"
+                  "skewed = census._replace(count_by_mult={2: 25, 3: 8})\n"
                   "for other in (line_census(shifted, rich_threshold=3), skewed):\n"
                   "    try:\n"
                   "        build_poor_graph(P, other, 3)\n"

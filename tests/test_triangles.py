@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from math import comb
@@ -298,7 +297,7 @@ class TestRichCase:
     def test_checks_raise_invariant_error(self, monkeypatch, P, members, c, qi, ri, message):
         census = line_census(P, top=True)
         if members is not None:
-            census = dataclasses.replace(census, members={census.top: members})
+            census = census._replace(members={census.top: members})
         monkeypatch.setattr(ordtri.triangles, "find_ordinary_line",
                             lambda P, indices: (None, qi, ri))
         if message == "twice":
