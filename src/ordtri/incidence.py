@@ -5,20 +5,19 @@ The census is the one pass over point pairs: it gives the multiplicity
 histogram and spectrum of the determined lines, and the members of the
 lines asked for, without keeping an object per line.  The pair loop runs
 over integer-scaled coordinates (clearing denominators per axis preserves
-collinearity), so the O(n^2) kernel is pure machine-int arithmetic even for
-rational inputs.  It visits the points in sweep order (Y descending, then
-X ascending), so every later point lies on the side of the current one
-where the pair's normal is already sign-normalized, and the kernel has no
-sign branch.
+collinearity), so the O(n^2) kernel is pure integer arithmetic even for
+rational inputs.  It keys each pair by one floor division, the exact slope
+key of its line (PointSet.lifted): no gcd and no tuple per pair.  A line's
+canonical triple is computed only for the lines a census reports.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import comb, gcd, lcm
 
 from .geom import CanonicalLine, Point, line_through
@@ -105,6 +104,26 @@ class PointSet:
                         p.y.numerator * (w // p.y.denominator), w))
         return out
 
+    @cached_property
+    def lifted(self) -> tuple[list[tuple[int, int]], int]:
+        """The scaled points lifted to (X << S, Y), and the key of a level pair.
+
+        The slope key of the line from (X0, Y0) to (X, Y), Y != Y0, is the
+        lifted (X - X0) // (Y0 - Y), floor(2^S * t) of its slope t.  Distinct
+        slopes differ by at least 1 / span(Y)^2, and on rational input by
+        (sx/sy) / 2^(4B+2), B the largest bit length in homogeneous (slopes
+        in original coordinates have denominators below 2^(2B+1)); so the
+        smaller of S = 2 * bitlen(span(Y)) and 4B + 3 + bitlen(sy) -
+        bitlen(sx) keeps their keys apart.  A level pair (Y = Y0) takes the
+        key (span(X) + 1) << S, above every slope key."""
+        pts, sx, sy = self.scaled_ints
+        xs, ys = zip(*pts)
+        shift = 2 * (max(ys) - min(ys)).bit_length()
+        if sx * sy > 1:
+            bits = max(v.bit_length() for point in self.homogeneous for v in point)
+            shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
+        return [(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift
+
 
 def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
     """Primitive sign-normalized triple of the line through two scaled points.
@@ -121,44 +140,32 @@ def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]
     return (a, b, c)
 
 
-def _unscale(key: tuple[int, int, int], sx: int, sy: int) -> tuple[int, int, int]:
-    """Map a line triple in scaled coordinates back to original coordinates.
+def _slope_keys(x0: int, y0: int, others, level: int | None = None) -> list[int]:
+    """The slope key (PointSet.lifted) of the line through the lifted point
+    (x0, y0) and each other one: equal iff collinear with (x0, y0).  Without
+    the level key, no other point may be level with (x0, y0): no branch."""
+    if level is None:
+        return [(x - x0) // (y0 - y) for x, y in others]
+    return [(x - x0) // (y0 - y) if y != y0 else level for x, y in others]
 
-    a*X + b*Y + c = 0 with X = sx*x, Y = sy*y is (a*sx)*x + (b*sy)*y + c = 0.
-    sx, sy > 0 keep the key's sign normalization, so only the gcd goes.
-    """
-    if sx == 1 and sy == 1:
-        return key
-    a, b, c = key[0] * sx, key[1] * sy, key[2]
+
+def _line_of(homogeneous, i: int, j: int) -> CanonicalLine:
+    """The line through points i and j: the cross product of their
+    homogeneous triples, reduced by one gcd and sign-normalized."""
+    (x1, y1, w1), (x2, y2, w2) = homogeneous[i], homogeneous[j]
+    a, b, c = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
     g = gcd(a, b, c)
-    return (a // g, b // g, c // g)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return CanonicalLine._make((a // g, b // g, c // g))  # canonical: skip the checks
 
 
-def _normals(x0: int, y0: int, others) -> list[tuple[int, int]]:
-    """Primitive normal (a, b) = (y0 - y, x - x0) / gcd of the line through
-    (x0, y0) and each other scaled point.  Two points share a normal iff
-    they are collinear with (x0, y0); the line's key is
-    (a, b, -(a*x0 + b*y0)), already primitive.
-
-    The gcd is non-negative, so a normal is sign-normalized like a
-    CanonicalLine (a > 0, or a = 0 and b > 0) exactly when the other point
-    comes later in sweep order: lower, or as high and to the right."""
-    return [((dy := y0 - y) // (g := gcd(dy, dx := x - x0)), dx // g) for x, y in others]
-
-
-def _oriented(x0: int, y0: int, others) -> list[tuple[int, int]]:
-    """The normals of _normals toward points on either side of (x0, y0),
-    sign-normalized."""
-    return [nm if nm > (0, 0) else (-nm[0], -nm[1]) for nm in _normals(x0, y0, others)]
-
-
-def _pencil(pts: list[tuple[int, int]], k: int
-            ) -> tuple[list[tuple[int, int] | None], dict[tuple[int, int], int]]:
-    """The lines through point k: the normal toward every point (None at k
-    itself) and the multiplicity of each line, in O(n)."""
-    xk, yk = pts[k]
-    toward = _oriented(xk, yk, pts[:k] + pts[k + 1:])
-    mult = {normal: size + 1 for normal, size in Counter(toward).items()}
+def _pencil(P: PointSet, k: int) -> tuple[list[int | None], dict[int, int]]:
+    """The lines through point k: the slope key toward every point (None at
+    k itself) and the multiplicity of each line, in O(n)."""
+    lifted, level = P.lifted
+    toward = _slope_keys(*lifted[k], lifted[:k] + lifted[k + 1:], level)
+    mult = {key: size + 1 for key, size in Counter(toward).items()}
     toward.insert(k, None)
     return toward, mult
 
@@ -217,32 +224,29 @@ def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
     through exactly two of them (Sylvester-Gallai), with their P-indices.
 
     The pair (i, j) is the lexicographically first with no third point on
-    its line.  Row i groups the later points by their normal through i, as
-    the census does, and notes each line holding two of them; a lone point
-    on a line no earlier row noted is ordinary.  Ordinary lines are
-    plentiful (Green and Tao 2013), so the search typically stops in its
-    first row; it never groups more pairs than one census.
+    its line.  Row i groups the later points by their slope key through i,
+    as the census does, and notes the points of each line holding two of
+    them; a lone point on a line no earlier row noted through i is
+    ordinary.  Ordinary lines are plentiful (Green and Tao 2013), so the
+    search typically stops in its first row; it never keys more pairs than
+    one census.
     """
-    pts, sx, sy = P.scaled_ints
     idx = sorted(range(len(P)) if indices is None else indices)
     if len(idx) < 3:
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: fewer than 3 points")
-    sub = [pts[k] for k in idx]
+    lifted, level = P.lifted
+    sub = [lifted[k] for k in idx]
     (x0, y0), (x1, y1) = sub[0], sub[1]
     if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in sub[2:]):
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
-    seen: set[tuple[int, int, int]] = set()
+    noted = set()  # (a, key): a lies on a noted line of that slope
     for a in range(len(sub) - 1):
-        xi, yi = sub[a]
-        normals = _oriented(xi, yi, sub[a + 1:])
-        groups = Counter(normals)
-        single = map((1).__eq__, map(groups.__getitem__, normals))
-        for b, (na, nb) in compress(enumerate(normals, a + 1), single):
-            key = (na, nb, -(na * xi + nb * yi))
-            if key not in seen:
-                return CanonicalLine(*_unscale(key, sx, sy)), idx[a], idx[b]
-        seen.update((na, nb, -(na * xi + nb * yi))
-                    for na, nb in compress(groups, map((1).__lt__, groups.values())))
+        keys = _slope_keys(*sub[a], sub[a + 1:], level)
+        groups = Counter(keys)
+        for b, key in enumerate(keys, a + 1):
+            if groups[key] == 1 and (a, key) not in noted:
+                return _line_of(P.homogeneous, idx[a], idx[b]), idx[a], idx[b]
+        noted.update((b, key) for b, key in enumerate(keys, a + 1) if groups[key] > 1)
     raise InvariantError("a non-collinear set without an ordinary line")
 
 
@@ -253,9 +257,10 @@ class LineCensus(namedtuple("LineCensus", "n count_by_mult rich_threshold rich t
 
     count_by_mult[l] = number of determined lines with exactly l points.
     rich holds the (few) lines with multiplicity > rich_threshold explicitly.
-    top is the lowest canonical triple among the lines of maximum
-    multiplicity, None unless asked for.  members maps every line the census
-    reports to its point indices, ascending (a new empty dict by default).
+    top (None unless asked for) is the line of maximum multiplicity whose
+    first point in sweep order comes first, the lowest canonical triple of
+    such lines through it.  members maps every line the census reports to
+    its point indices, ascending (a new empty dict by default).
     """
     __slots__ = ()
 
@@ -285,15 +290,13 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
 
     The points are visited in sweep order: scaled Y descending, then X
-    ascending.  For each point, the points after it in that order are
-    grouped by the normal of their line through it.  Each of them lies
-    below it, or level with it and to its right, so _normals returns their
-    normals already sign-normalized and the kernel needs no sign fix.  A
-    line whose points come in sweep order p1, ..., pl produces exactly one
-    group of each size l-1, ..., 1, so the number of groups of size s
-    equals f(s+1) and the full multiplicity histogram follows without
-    storing any line.  Most rows on a generic set have no repeated normal;
-    such a row only counts its pairs as groups of one.
+    ascending, an order of the coordinates only.  Each point groups the
+    points after it by the slope key of their line through it; those level
+    with it come first and take the level key.  A line whose points come in
+    sweep order p1, ..., pl produces one group of each size l-1, ..., 1, so
+    the number of groups of size s equals f(s+1), and the histogram follows
+    without storing any line.  Most rows on a generic set have no repeated
+    key; such a row only counts its pairs.
 
     Only the first point p1 of a line in sweep order owns its group of
     size l-1, which is what the optional reports rest on:
@@ -301,58 +304,53 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     - rich_threshold: every line with multiplicity > threshold, with its
       members as ascending P-indices.  Its owner is the first point to see
       it in a group of size >= threshold, and that group holds the other
-      members.
-    - top: a group of the largest size seen so far belongs to its owner
-      (a non-owner's group is smaller than the owner's, seen earlier), so
-      a point whose largest group is smaller has no candidate.  top is the
-      least canonical triple of those candidates, whatever the order.
+      members.  A point and a slope key fix a line, so the owner marks the
+      key at each member, whose row then skips that group.
+    - top: the first point to see a group of the largest size owns a line
+      of maximum multiplicity; top is the least canonical triple among its
+      groups of that size.
+
+    A reported line's canonical triple comes from its owner and a point of
+    its group, with one gcd.
     """
     n = len(P)
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
-    pts, sx, sy = P.scaled_ints
-    order = sorted(range(n), key=lambda k: (-pts[k][1], pts[k][0]))
-    swept = [pts[k] for k in order]
+    lifted, level = P.lifted
+    order = sorted(range(n), key=lambda k: (-lifted[k][1], lifted[k][0]))
+    swept = [lifted[k] for k in order]
     group_size_hist: Counter[int] = Counter()
-    rich_seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    top_size, top_best = 0, None        # top_best: (original triple, scaled key)
+    homogeneous = P.homogeneous
+    marked = {}  # P-index -> the set of keys of its lines already owned
+    members = {}
+    top_size, top_row, top_keys, top_groups = 0, 0, None, None
     for r in range(n - 1):
-        xi, yi = swept[r]
-        normals = groups = None  # free the last point's groups before building these
-        normals = _normals(xi, yi, swept[r + 1:])
-        if len(set(normals)) < len(normals):
-            groups = Counter(normals)
+        x0, y0 = swept[r]
+        end = bisect_right(swept, -y0, r + 1, key=lambda p: -p[1])  # first point below
+        keys = groups = None  # free the last point's groups before building these
+        keys = [level] * (end - r - 1) + _slope_keys(x0, y0, swept[end:])
+        if len(set(keys)) < len(keys):
+            groups = Counter(keys)
             group_size_hist.update(groups.values())
             largest = max(groups.values())
         else:  # no two later points share a line through this one: all groups of one
-            group_size_hist[1] += len(normals)
+            group_size_hist[1] += len(keys)
             largest = 1
         if rich_threshold is not None and largest >= rich_threshold:
-            rich_groups = normals if groups is None else \
-                [normal for normal, size in groups.items() if size >= rich_threshold]
-            owned = {}
-            for a, b in rich_groups:
-                key = (a, b, -(a * xi + b * yi))
-                if key not in rich_seen:
-                    owned[(a, b)] = key
-            if owned:
-                found = {normal: [order[r]] for normal in owned}
-                for k, normal in zip(order[r + 1:], normals):
-                    if normal in found:
-                        found[normal].append(k)
-                for normal, key in owned.items():
-                    rich_seen[key] = tuple(sorted(found[normal]))
-        if top and largest >= top_size:
-            if largest > top_size:
-                top_size, top_best = largest, None
-            candidates = normals if largest == 1 else \
-                compress(groups, map(largest.__eq__, groups.values()))
-            if sx == sy == 1:  # keys through one point order as their normals
-                candidates = [min(candidates)]
-            best = min((_unscale(key, sx, sy), key) for key in
-                       ((a, b, -(a * xi + b * yi)) for a, b in candidates))
-            if top_best is None or best < top_best:
-                top_best = best
+            seen = marked.pop(order[r], ())
+            rich_keys = keys if groups is None else \
+                [key for key, size in groups.items() if size >= rich_threshold]
+            found = {key: [order[r]] for key in rich_keys if key not in seen}
+            if found:
+                for k, key in zip(order[r + 1:], keys):
+                    if key in found:
+                        found[key].append(k)
+                for key, line in found.items():  # owner, then the group in sweep order
+                    for k in line[1:-1]:
+                        marked.setdefault(k, set()).add(key)
+                    members[_line_of(homogeneous, line[0], line[1])] = tuple(sorted(line))
+        if top and largest > top_size:
+            top_size, top_row, top_keys, top_groups = largest, r, keys, groups
     if sum(s * c for s, c in group_size_hist.items()) != comb(n, 2):
         raise InvariantError("census groups do not cover every pair once")
     count_by_mult = {
@@ -362,15 +360,17 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     }
     if sum(comb(l, 2) * c for l, c in count_by_mult.items()) != comb(n, 2):
         raise InvariantError("pair-sum identity violated by the census")
-    members = {CanonicalLine(*_unscale(key, sx, sy)): idx for key, idx in rich_seen.items()}
     rich = tuple((line, len(members[line])) for line in sorted(members))
     top_line = None
-    if top_best is not None:
-        top_line = CanonicalLine(*top_best[0])
-        a, b, c = top_best[1]
-        members[top_line] = tuple(k for k, (x, y) in enumerate(pts) if a * x + b * y + c == 0)
+    if top:
+        top_line = min(_line_of(homogeneous, order[top_row], k)
+                       for k, key in zip(order[top_row + 1:], top_keys)
+                       if top_groups is None or top_groups[key] == top_size)
+        a, b, c = top_line
+        members[top_line] = tuple(k for k, (x, y, w) in enumerate(homogeneous)
+                                  if a * x + b * y + c * w == 0)
         if len(members[top_line]) != top_size + 1:
-            raise InvariantError(f"line {top_best[0]} holds {len(members[top_line])} points, "
-                                 f"the census gives {top_size + 1}")
+            raise InvariantError(f"line {top_line.triple()} holds {len(members[top_line])} "
+                                 f"points, the census gives {top_size + 1}")
     return LineCensus(n=n, count_by_mult=count_by_mult, rich_threshold=rich_threshold,
                       rich=rich, top=top_line, members=members)

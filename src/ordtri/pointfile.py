@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geom import Point
 from .incidence import PointSet
 
-_COORD = re.compile(r"^[+-]?[0-9]+(/0*[1-9][0-9]*)?$")  # ASCII digits, q > 0
+_COORD = re.compile(r"^([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?$")  # ASCII digits, q > 0
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
 
 
@@ -22,16 +22,17 @@ class PointFileError(ValueError):
 
 
 def _parse_coord(tok: str, where: str) -> Fraction:
-    """One coordinate token; where locates it in the error message."""
-    if not _COORD.match(tok):
+    """One coordinate token; where locates it in the error message.  The
+    Fraction is built from the parts the grammar matched, not parsed again."""
+    m = _COORD.match(tok)
+    if m is None:
         raise PointFileError(
             f"{where}: bad coordinate {tok!r} (integer or p/q rational required)")
-    return Fraction(tok)
+    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
 
 
 def parse_points(stream: Iterable[str]) -> PointSet:
-    pts: list[Point] = []
-    seen: dict[Point, int] = {}
+    seen: dict[Point, int] = {}  # each point, in file order, at its first line
     duplicates: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,14 +43,12 @@ def parse_points(stream: Iterable[str]) -> PointSet:
             raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
         where = f"line {lineno}"
         p = Point(_parse_coord(toks[0], where), _parse_coord(toks[1], where))
-        if p in seen:
-            duplicates.append(f"line {lineno} repeats line {seen[p]}")
-        else:
-            seen[p] = lineno
-            pts.append(p)
+        first = seen.setdefault(p, lineno)
+        if first != lineno:
+            duplicates.append(f"line {lineno} repeats line {first}")
     if duplicates:
         raise PointFileError("duplicate points: " + "; ".join(duplicates))
-    return PointSet(tuple(pts))
+    return PointSet(tuple(seen))
 
 
 def format_coord(v: Fraction) -> str:

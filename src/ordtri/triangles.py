@@ -203,9 +203,8 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         _, qi, ri = find_ordinary_line(P, [i for i in range(n) if i not in on_set])
     except SylvesterGallaiError as exc:
         raise RichCasePreconditionError(f"remainder off the rich line: {exc}") from exc
-    pts, _, _ = P.scaled_ints
-    toward_q, mult_q = _pencil(pts, qi)
-    toward_r, mult_r = _pencil(pts, ri)
+    toward_q, mult_q = _pencil(P, qi)
+    toward_r, mult_r = _pencil(P, ri)
     # the ordinary line picks up at most the one point where it crosses the
     # rich line, so its multiplicity in P is <= 3 and the qr side is safe
     if mult_q[toward_q[ri]] > 3:
@@ -342,8 +341,8 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     if mode == "count":
         return report(CaseTaken.POOR_GRAPH, (), count_c_ordinary(P, c, census), True)
 
-    # fast mode: rich dispatch on l_i > alpha*n for the line of maximum
-    # multiplicity, ties broken by canonical triple order
+    # fast mode: rich dispatch on l_i > alpha*n for the census's top line, of
+    # maximum multiplicity, with the first point in sweep order
     if mode == "fast" and constants.exceeds_alpha_n(len(census.members[census.top]), n):
         try:
             witness, tris = find_case_rich_line(P, census, c)

@@ -9,7 +9,8 @@ tests check it against:
 - ``enumerate_all_c_ordinary`` lists every c-ordinary triple by an O(n^3)
   loop over the pairs of the poor graph, with its own pair pass;
 - ``first_ordinary_pair`` tests each pair's line against every point, in
-  index order, until one holds no third point;
+  index order, until one holds no third point, and ``top_line`` picks the
+  census's top line from every line;
 - ``PoorGraph`` holds a graph as sorted adjacency tuples, and
   ``count_triangles`` counts its triangles;
 - ``count_incidences`` tests every point against every given line, where
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import Optional
 
 from ordtri.geom import CanonicalLine, Point, incident, line_through, orientation
@@ -28,9 +29,19 @@ from ordtri.incidence import (
     PointSet,
     UnderdeterminedError,
     _scaled_line_key,
-    _unscale,
 )
 from ordtri.triangles import _count_forward_triangles
+
+
+def _unscale(key: tuple[int, int, int], sx: int, sy: int) -> tuple[int, int, int]:
+    """Map a line triple in scaled coordinates back to original coordinates.
+
+    a*X + b*Y + c = 0 with X = sx*x, Y = sy*y is (a*sx)*x + (b*sy)*y + c = 0.
+    sx, sy > 0 keep the key's sign normalization, so only the gcd goes.
+    """
+    a, b, c = key[0] * sx, key[1] * sy, key[2]
+    g = gcd(a, b, c)
+    return (a // g, b // g, c // g)
 
 
 # --- the object-per-line API -------------------------------------------------
@@ -127,6 +138,16 @@ def first_ordinary_pair(P: PointSet, indices=None
             if sum(incident(line, P[k]) for k in idx) == 2:
                 return line, i, j
     return None
+
+
+def top_line(P: PointSet, profile: IncidenceProfile) -> CanonicalLine:
+    """The census's top line spelled out on the full line profile: of the
+    lines of maximum multiplicity, those whose first point in sweep order
+    (y descending, then x ascending) comes first, and of these the one with
+    the lowest triple."""
+    most = profile.max_multiplicity
+    return min((l for l, m in profile.entries.items() if m == most),
+               key=lambda l: (min((-P[k].y, P[k].x) for k in points_on_line(P, l)), l.triple()))
 
 
 def pair_line_multiplicity(profile: IncidenceProfile, P: PointSet, p: Point, q: Point) -> int:

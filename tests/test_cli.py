@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,21 @@ class TestPointFile:
     def test_roundtrip(self):
         P = PointSet.of([(0, 0), ("1/2", "-3/7"), (-4, 9)])
         assert parse_points(io.StringIO(format_points(P))).points == P.points
+
+    # signs, zeros, leading zeros and unreduced fractions: each token reads
+    # as the Fraction of its text, and the file writes back in lowest terms
+    @pytest.mark.parametrize("tok, written", [
+        ("+3", "3"), ("-0", "0"), ("+0", "0"), ("007/010", "7/10"), ("2/4", "1/2"),
+        ("-6/3", "-2"), ("0/5", "0"), ("-00012/0008", "-3/2"), (str(-2 ** 70), str(-2 ** 70)),
+        (f"{3 ** 50}/{2 ** 80}", f"{3 ** 50}/{2 ** 80}"),
+    ])
+    def test_token_forms_roundtrip(self, tok, written):
+        P = parse_points(io.StringIO(f"{tok} {tok}\n"))
+        assert P[0] == (Fraction(tok), Fraction(tok))
+        assert all(type(v) is Fraction and type(v.numerator) is int for v in P[0])
+        text = format_points(P)
+        assert text == f"{written} {written}\n"
+        assert parse_points(io.StringIO(text)).points == P.points
 
     def test_comments_and_blanks(self):
         P = parse_points(io.StringIO("# header\n\n1 2\n  # note\n3 4\n"))

@@ -9,10 +9,12 @@ integers), gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
 A `find` report is named after the input and its options, a `verify-bounds`
 report after the input, the command and its options.
 
-Every default `find` run takes the rich-line path.  Its (q, r) is the first
-index pair off the rich line whose line holds no third point off it, which
-fixes the `rich_case` q, r, excluded and survivors fields and the
-`triangles` and lower-bound `count`.
+Every default `find` run takes the rich-line path.  Its rich line is the
+census's top line: of maximum multiplicity, with the first point in sweep
+order (y descending, then x ascending), and the lowest canonical triple
+among such lines through that point.  Its (q, r) is the first index pair
+off the rich line whose line holds no third point off it.  These fix the
+`rich_case` fields and the `triangles` and lower-bound `count`.
 """
 import re
 from pathlib import Path

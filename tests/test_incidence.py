@@ -3,7 +3,7 @@ import itertools
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,10 +16,8 @@ from ordtri.incidence import (
     PointSet,
     SylvesterGallaiError,
     UnderdeterminedError,
-    _normals,
-    _oriented,
     _scaled_line_key,
-    _unscale,
+    _slope_keys,
     classify_degeneracy,
     find_ordinary_line,
     line_census,
@@ -36,12 +34,14 @@ from ordtri.generators import (
 )
 from ordtri.pointfile import parse_points
 from reference import (
+    _unscale,
     enumerate_lines,
     first_ordinary_pair,
     pair_line_multiplicity,
     points_on_line,
     spectrum_f,
     spectrum_table,
+    top_line,
 )
 
 
@@ -176,10 +176,8 @@ class TestLineCensus:
 
     @pytest.mark.parametrize("P", CENSUS_SETS + [gen_grid(5), PointSet.of([(0, 0), (1, 1), (2, 2)])])
     def test_top_and_ordinary_match_profile(self, P):
-        prof = enumerate_lines(P)
         census = line_census(P, top=True)
-        top = min((l for l, m in prof.entries.items() if m == prof.max_multiplicity),
-                  key=CanonicalLine.triple)
+        top = top_line(P, enumerate_lines(P))
         assert census.top == top
         assert census.members[top] == tuple(points_on_line(P, top))
         ordinary = first_ordinary_pair(P)
@@ -209,9 +207,10 @@ def brute_force_census(P, rich_threshold=None, top=False):
         rich = tuple(sorted(((l, len(idx)) for l, idx in lines.items() if len(idx) > rich_threshold),
                             key=lambda pair: pair[0].triple()))
         members.update((l, lines[l]) for l, _ in rich)
-    if top:
+    if top:  # the line of most points whose first point in sweep order comes first
         most = max(map(len, lines.values()))
-        top_line = min((l for l, idx in lines.items() if len(idx) == most), key=CanonicalLine.triple)
+        top_line = min((l for l, idx in lines.items() if len(idx) == most),
+                       key=lambda l: (min((-P[k].y, P[k].x) for k in lines[l]), l.triple()))
         members[top_line] = lines[top_line]
     return dict(Counter(map(len, lines.values()))), rich, members, top_line
 
@@ -224,14 +223,43 @@ def census_in_p_indices(P, perm, **asks):
     return census.count_by_mult, census.rich, members, census.top
 
 
-def sign_normalized_normal(x0, y0, x, y):
-    """The normal of the line through (x0, y0) and (x, y), its sign fixed
-    pair by pair as a CanonicalLine's."""
-    a, b = y0 - y, x - x0
-    g = gcd(a, b)
-    if a < 0 or (a == 0 and b < 0):
-        g = -g
-    return (a // g, b // g)
+def line_partition(P, k):
+    """The other points of P grouped by their line through point k, once by
+    the slope keys of the census kernel and once by the primitive triple of
+    _scaled_line_key, as sorted lists of P-indices.  The keys toward the
+    points below k, computed without the level key as the census does, must
+    be the same."""
+    lifted, level = P.lifted
+    pts, _, _ = P.scaled_ints
+    others = [j for j in range(len(P)) if j != k]
+    keys = dict(zip(others, _slope_keys(*lifted[k], [lifted[j] for j in others], level)))
+    below = [j for j in others if pts[j][1] < pts[k][1]]
+    assert _slope_keys(*lifted[k], [lifted[j] for j in below]) == [keys[j] for j in below]
+    assert all(keys[j] < level for j in below)
+    by_key, by_triple = defaultdict(list), defaultdict(list)
+    for j in others:
+        by_key[keys[j]].append(j)
+        by_triple[_scaled_line_key(*pts[k], *pts[j])].append(j)
+    return sorted(by_key.values()), sorted(by_triple.values())
+
+
+def shift_of(P):
+    """The S of P.lifted, read off its level key (span(X) + 1) << S."""
+    pts, _, _ = P.scaled_ints
+    span_x = max(x for x, _ in pts) - min(x for x, _ in pts)
+    return (P.lifted[1] // (span_x + 1)).bit_length() - 1
+
+
+def farey_neighbours(span, offset=0):
+    """A point at height span above two others whose slopes p/q and p'/q'
+    through it are Farey neighbours (|p*q' - p'*q| = 1) with q = span and
+    q' = span - 1: two slopes as close as the span allows.  A point level
+    with the first joins them, and offset translates all four."""
+    q, q2 = span, span - 1
+    p = pow(q2, -1, q) if q > 1 else 1  # p*q2 = 1 mod q
+    p2 = (p * q2 - 1) // q
+    pts = [(0, span), (p, 0), (p2, span - q2), (1, span)]
+    return PointSet.of([(x + offset, y + offset) for x, y in pts])
 
 
 class TestCensusOrder:
@@ -247,18 +275,55 @@ class TestCensusOrder:
             assert census_in_p_indices(P, list(perm), **asks) == expected
 
     coords = st.integers(-20, 20) | st.integers(-2 ** 70, 2 ** 70)
+    # mixed denominators: a few primes per axis, so the lcm grows past any
+    # one denominator and the shift bound of rational input applies
+    rationals = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
 
-    @given(st.tuples(coords, coords), st.lists(st.tuples(coords, coords), max_size=24))
+    @given(st.sets(st.tuples(coords, coords), min_size=2, max_size=24)
+           | st.sets(st.tuples(rationals, rationals), min_size=2, max_size=24))
     @settings(max_examples=200, deadline=None)
-    def test_kernel_normals_are_sign_normalized(self, p0, others):
-        others = [q for q in others if q != p0]
-        assert _oriented(*p0, others) == [sign_normalized_normal(*p0, *q) for q in others]
-        later = [q for q in others if (-q[1], q[0]) > (-p0[1], p0[0])]
-        assert _normals(*p0, later) == [sign_normalized_normal(*p0, *q) for q in later]
+    def test_key_partition_is_the_line_partition(self, coords):
+        P = PointSet.of(sorted(coords))
+        for k in range(len(P)):
+            by_key, by_triple = line_partition(P, k)
+            assert by_key == by_triple
+
+    @pytest.mark.parametrize("P", [
+        parse_points(io.StringIO((Path(__file__).parent / "data" / "projection.txt").read_text())),
+        gen_projection_augmented(PointSet.of([(0, 0), ("1/2", "1/3"), (2, "5/7"), (-1, 3),
+                                              ("7/4", "-2/9")]), CanonicalLine.of(3, -2, 1)),
+        gen_projection_augmented(gen_random(9, 10 ** 5, 3), CanonicalLine.of(1, -13577, 10 ** 9 + 7)),
+    ], ids=["golden-input", "rational-base", "random-base"])
+    def test_key_partition_on_projection_sets(self, P):
+        """Scaled coordinates of hundreds of bits, where the shift comes from
+        the homogeneous bound, far below 2 * bitlen(span(Y))."""
+        pts, _, _ = P.scaled_ints
+        assert shift_of(P) < 2 * (max(y for _, y in pts) - min(y for _, y in pts)).bit_length()
+        for k in range(len(P)):
+            by_key, by_triple = line_partition(P, k)
+            assert by_key == by_triple
+        assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
+            == brute_force_census(P, rich_threshold=2)
+
+    @pytest.mark.parametrize("span", [2, 3, 7, 8, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 70 - 1, 2 ** 70])
+    @pytest.mark.parametrize("offset", [0, -2 ** 70])
+    def test_farey_neighbours_at_the_largest_span(self, span, offset):
+        """Two slopes 1/(q*q') apart over the full span get distinct keys,
+        and the census tells their lines apart.  S = 2 * bitlen(span(Y)), so
+        at span = 2^k - 1 the lifted slopes are 2^S / (q*q') > 1 apart, barely."""
+        P = farey_neighbours(span, offset)
+        (x0, y0), (x1, y1), (x2, y2) = [(p.x - offset, p.y - offset) for p in P[:3]]
+        assert abs(x1 * (y0 - y2) - x2 * (y0 - y1)) == 1
+        assert shift_of(P) == 2 * span.bit_length()
+        for k in range(len(P)):
+            by_key, by_triple = line_partition(P, k)
+            assert by_key == by_triple
+        assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
+            == brute_force_census(P, rich_threshold=2)
 
     def test_rows_with_and_without_a_repeated_normal(self, monkeypatch):
         """A random set plus a 5-point line: the line's first three points
-        in sweep order see a repeated normal, most rows do not."""
+        in sweep order see a repeated key, most rows do not."""
         P = PointSet.of(list(gen_random(40, 10 ** 6, 2))
                         + [(10 ** 7 + 3 * t, 5 - 2 * t) for t in range(5)])
         counters = []
@@ -280,7 +345,7 @@ class TestCensusOrder:
     def test_threshold_one_lists_every_line_without_a_triple(self):
         """gen_projection_augmented reads every determined line of its base
         from line_census(P, rich_threshold=1), also when no row repeats a
-        normal."""
+        key."""
         P = gen_random(25, 10 ** 9, 4)
         census = line_census(P, rich_threshold=1)
         assert census.count_by_mult == {2: comb(25, 2)}

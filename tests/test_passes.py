@@ -5,8 +5,8 @@ one pass per C(n, 2) calls.  Both are wrapped at every binding in the
 package, so a call through any import counts.  No command uses the pair
 kernel: only the tests' brute-force oracle keys pairs one at a time.  The
 rich-line path's search for an ordinary line off the rich line groups the
-pairs of its rows as the census does, by `_normals`; it typically stops in
-its first row, which the count of computed normals checks.
+pairs of its rows as the census does, by `_slope_keys`; it typically stops
+in its first row, which the count of computed keys checks.
 """
 import json
 import sys
@@ -52,18 +52,18 @@ def calls(monkeypatch):
 
 
 @pytest.fixture
-def normals(monkeypatch):
-    """The number of pair normals computed, by every caller of `_normals`."""
+def keys(monkeypatch):
+    """The number of slope keys computed, by every caller of `_slope_keys`."""
     counts = Counter()
 
     def wrap(fn):
-        def counted(x0, y0, others):
-            out = fn(x0, y0, others)
-            counts["normals"] += len(out)
+        def counted(*args):
+            out = fn(*args)
+            counts["keys"] += len(out)
             return out
         return counted
 
-    wrap_every_binding(monkeypatch, ordtri.incidence, "_normals", wrap)
+    wrap_every_binding(monkeypatch, ordtri.incidence, "_slope_keys", wrap)
     return counts
 
 
@@ -96,15 +96,18 @@ def test_rich_line_path_censuses_p_and_the_points_off_the_line(capsys, monkeypat
     assert calls == {"line_census": 1}
 
 
-def test_fast_mode_computes_one_census_of_normals(capsys, monkeypatch, tmp_path, normals):
+def test_fast_mode_computes_one_census_of_normals(capsys, monkeypatch, tmp_path, keys):
     """The census, the ordinary-line search's first row and the pencils of
-    q and r: at most C(n, 2) + 4n normals."""
+    q and r: at most C(n, 2) + 4n slope keys.  The census gives the pairs
+    level with their row the level key without the kernel, so the input has
+    no two points level."""
     n = 300
     path = tmp_path / "random.txt"
     path.write_text(format_points(gen_random(n, 10 ** 6, 1)))
     assert ordtri.cli.main(["find", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["case_taken"] == "RichLine"
-    assert n * (n - 1) // 2 < normals["normals"] <= n * (n - 1) // 2 + 4 * n
+    assert len({p.y for p in gen_random(n, 10 ** 6, 1)}) == n
+    assert n * (n - 1) // 2 < keys["keys"] <= n * (n - 1) // 2 + 4 * n
 
 
 # the second input takes the rich-line path first, whose search off the line

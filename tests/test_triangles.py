@@ -35,6 +35,7 @@ from reference import (
     enumerate_lines,
     first_ordinary_pair,
     points_on_line,
+    top_line,
     validate_c_ordinary,
 )
 
@@ -220,13 +221,11 @@ RICH_EXAMPLE = gen_rich_line_plus(10, [(0, 1), (1, 1), (2, 3)])
 
 
 def profile_rich_case(P, c):
-    """The rich-line path spelled out on the full line profile: the line of
-    maximum multiplicity with the lowest triple, the ordinary line of the
-    points off it through their first index pair, and the apexes excluded
-    by the profile."""
+    """The rich-line path spelled out on the full line profile: the census's
+    top line (top_line), the ordinary line of the points off it through
+    their first index pair, and the apexes excluded by the profile."""
     prof = enumerate_lines(P)
-    top = prof.max_multiplicity
-    line = min((l for l, m in prof.entries.items() if m == top), key=CanonicalLine.triple)
+    line = top_line(P, prof)
     on = points_on_line(P, line)
     _, qi, ri = first_ordinary_pair(P, [i for i in range(len(P)) if i not in on])
     q, r = P[qi], P[ri]
@@ -301,8 +300,8 @@ class TestRichCase:
         monkeypatch.setattr(ordtri.triangles, "find_ordinary_line",
                             lambda P, indices: (None, qi, ri))
         if message == "twice":
-            monkeypatch.setattr(ordtri.triangles, "_pencil", lambda pts, k: (
-                [None if i == k else (0, 1) for i in range(len(pts))], {(0, 1): 2}))
+            monkeypatch.setattr(ordtri.triangles, "_pencil", lambda P, k: (
+                [None if i == k else 0 for i in range(len(P))], {0: 2}))
         with pytest.raises(InvariantError, match=message):
             find_case_rich_line(P, census, c)
 
