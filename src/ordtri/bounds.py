@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .incidence import InvariantError
-from .triangles import Constants
+from .triangles import Constants, exceeds_alpha_n
 
 
 class BoundReport(namedtuple("BoundReport",
@@ -125,7 +125,7 @@ def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
     c_prime = constants.c_prime
     if c_prime is None:
         raise ValueError("check_medium_sum needs constants with c_prime bound")
-    if constants.exceeds_alpha_n(max(count_by_mult, default=0), n):
+    if exceeds_alpha_n(c, max(count_by_mult, default=0), n):
         raise ValueError("case (ii) hypothesis fails: a line exceeds alpha*n")
     unit = Fraction(c_prime * n * n, c + 1)
     # sqrt(n) split decided exactly via l*l <= n

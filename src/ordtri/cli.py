@@ -36,7 +36,7 @@ from .pointfile import (
     format_points,
     parse_points,
 )
-from .triangles import CaseTaken, Constants
+from .triangles import Constants, exceeds_alpha_n
 
 REPORT_VERSION = "1"
 
@@ -172,49 +172,23 @@ def cmd_find(args) -> int:
         raise PointFileError(
             "c must be >= 3 (use --allow-small-c with --mode exhaustive for research runs)")
     P = _read_points(args.input)
-    n = len(P)
-    if args.c < 3:
-        # research escape hatch, outside Constants: the poor-graph listing of
-        # exhaustive mode on one census.  At c <= 1 every line is rich, so no
-        # triangle exists, and a census at that threshold would keep the
-        # members of every line
-        if args.c_prime < 1:
-            raise ValueError("c_prime must be >= 1")
-        if args.limit is not None and args.limit < 0:
-            raise ValueError(f"limit must be >= 0, got {args.limit}")
-        classification = classify_degeneracy(P)
-        case = CaseTaken.POOR_GRAPH.value
-        count_kind = "exact"
-        witness = None
-        count, tris, spectrum = 0, [], []
-        if n >= 3 and args.c == 2:
-            census = line_census(P, rich_threshold=args.c)
-            tris, count = triangles.find_case_poor_graph(P, census, args.c, args.limit)
-            spectrum = census.spectrum_table()
-        elif n >= 2:
-            spectrum = line_census(P).spectrum_table()
-    else:
-        constants = Constants(args.c, args.c_prime)
-        rep = triangles.find_c_ordinary(P, constants, mode=args.mode, limit=args.limit)
-        count, tris = rep.count, list(rep.triangles)
-        classification = rep.classification
-        case = rep.case_taken.value
-        count_kind = "exact" if rep.count_is_exact else "lower_bound"
-        witness = rep.rich_witness
-        spectrum = rep.spectrum
+    if args.c_prime < 1:
+        raise ValueError("c_prime must be >= 1")
+    rep = triangles.find_c_ordinary(P, args.c, mode=args.mode, limit=args.limit)
     report = {
         "version": REPORT_VERSION,
         "command": "find",
         "parameters": {"input": args.input, "c": args.c, "c_prime": args.c_prime,
                        "mode": args.mode, "limit": args.limit},
-        "n": n,
-        "degeneracy": _degeneracy_json(classification),
-        "spectrum": [[k, f] for k, f in spectrum],
-        "case_taken": case,
-        "count": count,
-        "count_kind": count_kind,
-        "triangles": [list(t) for t in tris],
+        "n": len(P),
+        "degeneracy": _degeneracy_json(rep.classification),
+        "spectrum": [[k, f] for k, f in rep.spectrum],
+        "case_taken": rep.case_taken.value,
+        "count": rep.count,
+        "count_kind": "exact" if rep.count_is_exact else "lower_bound",
+        "triangles": [list(t) for t in rep.triangles],
     }
+    witness = rep.rich_witness
     if witness is not None:
         report["rich_case"] = {
             "rich_line": list(witness.rich_line.triple()),
@@ -225,7 +199,7 @@ def cmd_find(args) -> int:
             "guaranteed_minimum": witness.guarantee,
         }
     _emit(report, started)
-    return 0 if count > 0 else 3
+    return 0 if rep.count > 0 else 3
 
 
 # --- verify-bounds ----------------------------------------------------------
@@ -249,7 +223,7 @@ def cmd_verify_bounds(args) -> int:
     edges, t3 = triangles.poor_graph_size(P, args.c, census)
     reports.append(bounds.check_eg(n, edges, t3, instance=f"poor graph n={n} c={args.c}"))
     skipped = []
-    if constants.exceeds_alpha_n(census.max_multiplicity, n):
+    if exceeds_alpha_n(args.c, census.max_multiplicity, n):
         skipped.append({"name": "medium-line pair sum",
                         "reason": "skipped: rich line present (l_i > alpha*n)"})
     else:

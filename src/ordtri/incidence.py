@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 
-from .geom import CanonicalLine, Point, line_through
+from .geom import CanonicalLine, Point
 
 
 class UnderdeterminedError(ValueError):
@@ -201,18 +201,18 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
         return [i for i in indices
                 if a * homogeneous[i][0] + b * homogeneous[i][1] + c * homogeneous[i][2]]
 
-    base = line_through(P[0], P[1])
+    base = _line_of(homogeneous, 0, 1)
     first_off = off(base, range(2, n))
     if not first_off:
         return DegeneracyClass(DegeneracyTag.ALL_COLLINEAR, (base,))
     k = first_off[0]
-    for cand in (base, line_through(P[0], P[k]), line_through(P[1], P[k])):
+    for cand in (base, _line_of(homogeneous, 0, k), _line_of(homogeneous, 1, k)):
         rest = off(cand, range(n))
         if len(rest) == 1:
             anchor = next(i for i in range(n) if i != rest[0])  # on cand
-            second = line_through(P[rest[0]], P[anchor])
+            second = _line_of(homogeneous, rest[0], anchor)
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
-        second = line_through(P[rest[0]], P[rest[1]])
+        second = _line_of(homogeneous, rest[0], rest[1])
         if not off(second, rest[2:]):
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geom import Point
 from .incidence import PointSet
 
-_COORD = re.compile(r"^([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?$")  # ASCII digits, q > 0
+_COORD = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # ASCII digits, q > 0, for fullmatch
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
 
 
@@ -24,7 +24,7 @@ class PointFileError(ValueError):
 def _parse_coord(tok: str, where: str) -> Fraction:
     """One coordinate token; where locates it in the error message.  The
     Fraction is built from the parts the grammar matched, not parsed again."""
-    m = _COORD.match(tok)
+    m = _COORD.fullmatch(tok)
     if m is None:
         raise PointFileError(
             f"{where}: bad coordinate {tok!r} (integer or p/q rational required)")

@@ -50,9 +50,10 @@ class Constants(namedtuple("Constants", "c c_prime")):
     def alpha(self) -> Fraction:
         return Fraction(4, self.c + 1)
 
-    def exceeds_alpha_n(self, l: int, n: int) -> bool:
-        """l > alpha*n, decided in integers as (c+1)*l > 4*n."""
-        return (self.c + 1) * l > 4 * n
+
+def exceeds_alpha_n(c: int, l: int, n: int) -> bool:
+    """l > alpha*n for alpha = 4/(c+1), decided in integers as (c+1)*l > 4*n."""
+    return (c + 1) * l > 4 * n
 
 
 def derive_constants(c_prime: int) -> Constants:
@@ -196,7 +197,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         raise RichCasePreconditionError("census of P without its top line")
     on_idx = census.members[rich_line]
     l_i = len(on_idx)
-    if not Constants(c).exceeds_alpha_n(l_i, n):
+    if not exceeds_alpha_n(c, l_i, n):
         raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
     on_set = set(on_idx)
     try:
@@ -214,11 +215,6 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     crossing = {i for i in on_idx if toward_q[i] == toward_q[ri]}
     if len(crossing) > 1:
         raise InvariantError("the ordinary line meets the rich line twice")
-    if crossing - (too_rich_q | too_rich_r):
-        import logging  # here, not at the top: only this branch logs
-        logging.getLogger(__name__).info(
-            "rich-line case: excluding crossing point %s of the ordinary line",
-            next(iter(crossing)))
     # exact counting inclusions behind the proof's lower bound
     if not (4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i):
         raise InvariantError("rich-line exclusions reach l/4")
@@ -295,7 +291,7 @@ def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> i
     return no_rich_pair - collinear_poor
 
 
-def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
+def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,
                     mode: str = "fast", limit: int | None = None) -> TriangleReport:
     """Dispatching finder.
 
@@ -315,17 +311,21 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
     after as many pairs as one census of the points off the line.
 
     Degenerate inputs are classified and still searched exhaustively:
-    triangles may exist below the theorem's regime.
+    triangles may exist below the theorem's regime.  Any integer c is
+    accepted (the paper's constants need c >= 3): at c <= 1 every line, of
+    at least 2 points, is rich, so the poor graph has no edge and the count
+    is 0; the spectrum then comes from a plain census, since one at that
+    threshold would keep the members of every line.
     """
     if mode not in ("fast", "exhaustive", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    c = constants.c
     n = len(P)
     classification = classify_degeneracy(P)
     tag = classification.tag
-    census = line_census(P, rich_threshold=c, top=mode == "fast") if n >= 2 else None
+    census = line_census(P, rich_threshold=c if c >= 2 else None,
+                         top=mode == "fast") if n >= 2 else None
     spectrum = tuple(census.spectrum_table()) if census else ()
 
     def report(case, triangles, count, exact, witness=None):
@@ -338,16 +338,18 @@ def find_c_ordinary(P: PointSet, constants: Constants = DEFAULT_CONSTANTS,
         return report(CaseTaken.DEGENERATE, (), 0, True)
     # TwoLineUnion inputs sit below the theorem's hypothesis but are still
     # searched exactly; the classification rides along in the report
+    if c < 2:
+        return report(CaseTaken.POOR_GRAPH, (), 0, True)
     if mode == "count":
         return report(CaseTaken.POOR_GRAPH, (), count_c_ordinary(P, c, census), True)
 
-    # fast mode: rich dispatch on l_i > alpha*n for the census's top line, of
-    # maximum multiplicity, with the first point in sweep order
-    if mode == "fast" and constants.exceeds_alpha_n(len(census.members[census.top]), n):
+    # fast mode: the rich-line path on the census's top line, of maximum
+    # multiplicity, with the first point in sweep order, if it exceeds alpha*n
+    if mode == "fast":
         try:
             witness, tris = find_case_rich_line(P, census, c)
         except RichCasePreconditionError:
-            pass  # the points off the line are collinear: use the poor graph
+            pass  # no line above alpha*n, or the points off it are collinear
         else:
             shown = tris if limit is None else tris[:limit]
             return report(CaseTaken.RICH_LINE, shown, len(tris), False, witness)

@@ -30,7 +30,7 @@ from ordtri.generators import (
 )
 from ordtri.geom import CanonicalLine, line_through
 from ordtri.incidence import PointSet, find_ordinary_line, line_census
-from ordtri.triangles import Constants, build_poor_graph, derive_constants, find_c_ordinary
+from ordtri.triangles import build_poor_graph, derive_constants, find_c_ordinary
 from reference import (
     PoorGraph,
     count_incidences,
@@ -205,8 +205,7 @@ def test_criterion_06_oracle_equivalence(corpus):
         for c in C_VALUES:
             limit = 500 if big else None
             oracle_count, _ = enumerate_all_c_ordinary(P, c, limit=limit)
-            rep = find_c_ordinary(P, Constants(c, 125),
-                                  mode="exhaustive", limit=limit)
+            rep = find_c_ordinary(P, c, mode="exhaustive", limit=limit)
             assert rep.count == oracle_count, (name, c)
             assert rep.count_is_exact
             for t in rep.triangles:
@@ -220,23 +219,23 @@ def test_criterion_06_oracle_equivalence(corpus):
 
 
 def test_criterion_07_rich_case_guarantee():
-    const = Constants(10, 125)
+    c = 10
     count = 0
     for k in range(8, 28):
         P = gen_rich_line_plus(k, rich_extras(k))
         prof = enumerate_lines(P)
-        rep = find_c_ordinary(P, const, mode="fast")
+        rep = find_c_ordinary(P, c, mode="fast")
         w = rep.rich_witness
         assert w is not None, k
         l_max = prof.entries[w.rich_line]
         assert prof.max_multiplicity == l_max
         assert rep.count >= (l_max + 1) // 2 - 1
         on_idx = points_on_line(P, w.rich_line)
-        p_q = [i for i in on_idx if prof.entries[line_through(P[i], w.q)] > const.c]
-        p_r = [i for i in on_idx if prof.entries[line_through(P[i], w.r)] > const.c]
+        p_q = [i for i in on_idx if prof.entries[line_through(P[i], w.q)] > c]
+        p_r = [i for i in on_idx if prof.entries[line_through(P[i], w.r)] > c]
         assert 4 * len(p_q) < l_max and 4 * len(p_r) < l_max
         for t in rep.triangles:
-            assert validate_c_ordinary(P, prof, t, const.c)
+            assert validate_c_ordinary(P, prof, t, c)
         count += 1
     ok(7, f"rich-line path met ceil(l/2)-1 guarantee and exclusion inclusions "
           f"on {count} instances")

@@ -21,6 +21,7 @@ from ordtri.generators import (
 from ordtri.geom import CanonicalLine
 from ordtri.incidence import InvariantError, PointSet, classify_degeneracy
 from ordtri.pointfile import PointFileError, format_points, parse_points
+from ordtri.triangles import find_c_ordinary
 from reference import enumerate_all_c_ordinary, enumerate_lines, spectrum_table
 
 
@@ -137,6 +138,15 @@ class TestGenerate:
             assert (code, out) == (2, "") and err.startswith(f"error: --extra '{tok},5': ")
         else:
             assert code == 0 and parse_points(io.StringIO(out))[-1] == expected
+
+    # the grammar matches the whole token: "$" alone would also match
+    # before a trailing newline
+    @pytest.mark.parametrize("extra", ["1\n,2", "1,2\n", "1/3\n,2", "1,2/5\n"])
+    def test_extra_rejects_a_trailing_newline(self, capsys, extra):
+        code, out, err = run(capsys, "generate", "--kind", "rich-line", "--k", "3",
+                             "--extra", extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --extra {extra!r}: bad coordinate")
 
     @pytest.mark.parametrize("extra", ["1", "1,2,3", ""])
     def test_extra_needs_two_coordinates(self, capsys, extra):
@@ -329,24 +339,25 @@ def write_points(tmp_path, P, name="points.txt"):
 
 
 SMALL_C = ("--mode", "exhaustive", "--allow-small-c")
+SMALL_C_FAMILIES = pytest.mark.parametrize("P", [
+    *(gen_grid(g) for g in range(2, 8)),
+    *(gen_cubic_progression(m) for m in range(1, 6)),
+    gen_random(30, 40, 3), gen_random(25, 10 ** 6, 1),
+    gen_two_line_union(5, 6),
+    gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7)]),
+    gen_projection_augmented(PointSet.of([(0, 0), (1, 0), (0, 1)]),
+                             CanonicalLine.of(1, -1, 5)),
+    gen_projection_augmented(gen_grid(3), CanonicalLine.of(1, -7, 100)),
+], ids=[*(f"grid-{g}" for g in range(2, 8)), *(f"cubic-{m}" for m in range(1, 6)),
+        "random-30", "random-25", "two-line", "rich-line", "projection-triangle",
+        "projection-grid-3"])
 
 
 class TestSmallC:
     """--allow-small-c runs exhaustive mode's poor-graph listing on one
     census; the reference oracle judges its reports."""
 
-    @pytest.mark.parametrize("P", [
-        *(gen_grid(g) for g in range(2, 8)),
-        *(gen_cubic_progression(m) for m in range(1, 6)),
-        gen_random(30, 40, 3), gen_random(25, 10 ** 6, 1),
-        gen_two_line_union(5, 6),
-        gen_rich_line_plus(12, [(0, 1), (1, 2), (3, 7)]),
-        gen_projection_augmented(PointSet.of([(0, 0), (1, 0), (0, 1)]),
-                                 CanonicalLine.of(1, -1, 5)),
-        gen_projection_augmented(gen_grid(3), CanonicalLine.of(1, -7, 100)),
-    ], ids=[*(f"grid-{g}" for g in range(2, 8)), *(f"cubic-{m}" for m in range(1, 6)),
-            "random-30", "random-25", "two-line", "rich-line", "projection-triangle",
-            "projection-grid-3"])
+    @SMALL_C_FAMILIES
     @pytest.mark.parametrize("limit", [None, 5])
     def test_c_2_matches_the_oracle(self, capsys, tmp_path, P, limit):
         args = ("--limit", str(limit)) if limit is not None else ()
@@ -355,20 +366,35 @@ class TestSmallC:
         count, tris = enumerate_all_c_ordinary(P, 2, limit)
         assert (rep["count"], rep["triangles"]) == (count, [list(t) for t in tris])
         assert code == (0 if count else 3)
-        assert (rep["case_taken"], rep["count_kind"]) == ("PoorGraph", "exact")
+        tag = classify_degeneracy(P).tag
+        case = "Degenerate" if tag.value in ("TooSmall", "AllCollinear") else "PoorGraph"
+        assert (rep["case_taken"], rep["count_kind"]) == (case, "exact")
         assert rep["spectrum"] == [list(kf) for kf in spectrum_table(enumerate_lines(P))]
-        assert rep["degeneracy"]["tag"] == classify_degeneracy(P).tag.value
+        assert rep["degeneracy"]["tag"] == tag.value
 
-    @pytest.mark.parametrize("text, degeneracy, spectrum, triangles_at_2", [
-        ("", ["TooSmall", []], [], []),
-        ("0 0\n", ["TooSmall", []], [], []),
-        ("0 0\n1 2\n", ["TooSmall", []], [[2, 1]], []),
-        ("0 0\n1 0\n2 0\n", ["AllCollinear", [[0, 1, 0]]], [[2, 1], [3, 1]], []),
+    # the library takes any integer c in every mode; below c = 3 no line
+    # exceeds alpha*n, so fast mode runs the poor-graph listing too
+    @SMALL_C_FAMILIES
+    @pytest.mark.parametrize("c", [2, 1, 0, -1])
+    def test_library_matches_the_oracle_in_every_mode(self, P, c):
+        count, tris = enumerate_all_c_ordinary(P, c)
+        spectrum = tuple(spectrum_table(enumerate_lines(P)))
+        for mode in ("fast", "exhaustive", "count"):
+            rep = find_c_ordinary(P, c, mode=mode)
+            assert (rep.count, rep.count_is_exact, rep.spectrum) == (count, True, spectrum), mode
+            assert list(rep.triangles) == ([] if mode == "count" else tris), mode
+
+    @pytest.mark.parametrize("text, degeneracy, spectrum, case, triangles_at_2", [
+        ("", ["TooSmall", []], [], "Degenerate", []),
+        ("0 0\n", ["TooSmall", []], [], "Degenerate", []),
+        ("0 0\n1 2\n", ["TooSmall", []], [[2, 1]], "Degenerate", []),
+        ("0 0\n1 0\n2 0\n", ["AllCollinear", [[0, 1, 0]]], [[2, 1], [3, 1]], "Degenerate", []),
         ("0 0\n1 0\n0 1\n1 1\n", ["TwoLineUnion", [[0, 1, 0], [0, 1, -1]]], [[2, 6]],
-         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+         "PoorGraph", [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
     ], ids=["n-0", "n-1", "n-2", "collinear-3", "square"])
     @pytest.mark.parametrize("c", [2, 1, 0, -1])
-    def test_edge_cases(self, capsys, tmp_path, text, degeneracy, spectrum, triangles_at_2, c):
+    def test_edge_cases(self, capsys, tmp_path, text, degeneracy, spectrum, case, triangles_at_2,
+                        c):
         path = tmp_path / "edge.txt"
         path.write_text(text)
         code, rep = run_json(capsys, "find", str(path), "--c", str(c), *SMALL_C)
@@ -379,7 +405,7 @@ class TestSmallC:
                            "mode": "exhaustive", "limit": None},
             "n": text.count("\n"),
             "degeneracy": {"tag": degeneracy[0], "witness": degeneracy[1]},
-            "spectrum": spectrum, "case_taken": "PoorGraph", "count": len(triangles),
+            "spectrum": spectrum, "case_taken": case, "count": len(triangles),
             "count_kind": "exact", "triangles": triangles}
         assert code == (0 if triangles else 3)
 
@@ -419,9 +445,9 @@ def _child_env():
 class TestStartup:
     # a command imports only what it runs: compared with the modules the
     # interpreter's site setup loaded before the first statement (typing on
-    # some hosts), which is the `python -c pass` baseline.  The rich-line
-    # path imports logging only when it logs an excluded crossing point,
-    # which the rich-line-plus input has none of
+    # some hosts), which is the `python -c pass` baseline.  Default find on
+    # the 3x3 grid takes the rich-line path and excludes the crossing point
+    # of its ordinary line
     def test_find_loads_no_unused_module(self, grid_file, tmp_path):
         rich = write_points(tmp_path, gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)]))
         script = ("import sys\n"
@@ -430,7 +456,8 @@ class TestStartup:
                   "grid, rich = sys.argv[1:]\n"
                   "codes = [cli.main(['find', grid, '--c', '3', '--mode', 'count']),\n"
                   "         cli.main(['find', grid, '--c', '3', '--mode', 'fast']),\n"
-                  "         cli.main(['find', rich])]\n"
+                  "         cli.main(['find', rich]),\n"
+                  "         cli.main(['find', grid])]\n"
                   "print(*codes, file=sys.stderr)\n"
                   "print(*(set(sys.modules) - baseline), file=sys.stderr)\n")
         proc = subprocess.run([sys.executable, "-c", script, grid_file, rich],
@@ -438,7 +465,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         codes, loaded = proc.stderr.splitlines()
         loaded = set(loaded.split())
-        assert codes == "0 0 0" and '"case_taken": "RichLine"' in proc.stdout
+        assert codes == "0 0 0 0" and proc.stdout.count('"case_taken": "RichLine"') == 2
         assert "ordtri.triangles" in loaded
         unused = {"dataclasses", "inspect", "logging", "ordtri.bounds", "ordtri.generators"}
         assert not unused & loaded

@@ -15,6 +15,7 @@ from ordtri.triangles import (
     RichCasePreconditionError,
     build_poor_graph,
     count_c_ordinary,
+    exceeds_alpha_n,
     find_c_ordinary,
     find_case_poor_graph,
     find_case_rich_line,
@@ -388,12 +389,12 @@ class TestDispatch:
 
     def test_two_line_union_small(self):
         P = gen_two_line_union(2, 2)
-        rep = find_c_ordinary(P, Constants(3))
+        rep = find_c_ordinary(P, 3)
         assert rep.classification.tag is DegeneracyTag.TWO_LINE_UNION
         assert rep.count == enumerate_all_c_ordinary(P, 3)[0] > 0
 
     def test_rich_instance(self):
-        rep = find_c_ordinary(RICH_EXAMPLE, Constants(10))
+        rep = find_c_ordinary(RICH_EXAMPLE, 10)
         assert rep.case_taken is CaseTaken.RICH_LINE
         assert not rep.count_is_exact
         prof = enumerate_lines(RICH_EXAMPLE)
@@ -403,18 +404,18 @@ class TestDispatch:
 
     def test_all_collinear(self):
         P = PointSet.of([(i, i) for i in range(5)])
-        rep = find_c_ordinary(P, Constants(3))
+        rep = find_c_ordinary(P, 3)
         assert rep.count == 0 and rep.case_taken is CaseTaken.DEGENERATE
 
     def test_exhaustive_equals_oracle(self):
         for seed in range(5):
             P = gen_random(30, 35, seed)
-            rep = find_c_ordinary(P, Constants(3), mode="exhaustive")
+            rep = find_c_ordinary(P, 3, mode="exhaustive")
             count, tris = enumerate_all_c_ordinary(P, 3)
             assert rep.count == count and list(rep.triangles) == tris
 
     def test_count_mode_materializes_nothing(self):
-        rep = find_c_ordinary(GRID3, Constants(3), mode="count")
+        rep = find_c_ordinary(GRID3, 3, mode="count")
         assert rep.triangles == () and rep.count == enumerate_all_c_ordinary(GRID3, 3)[0]
 
     def test_nonempty_iff_exists(self):
@@ -422,22 +423,22 @@ class TestDispatch:
         for P, c in [(gen_two_line_union(3, 3), 3),
                      (gen_grid(2), 3),
                      (PointSet.of([(0, 0), (1, 0), (2, 1), (3, 5)]), 3)]:
-            rep = find_c_ordinary(P, Constants(c))
+            rep = find_c_ordinary(P, c)
             assert (rep.count > 0) == (enumerate_all_c_ordinary(P, c)[0] > 0)
 
     def test_limit_truncates(self):
-        rep = find_c_ordinary(GRID3, Constants(3), mode="exhaustive", limit=2)
+        rep = find_c_ordinary(GRID3, 3, mode="exhaustive", limit=2)
         assert len(rep.triangles) == 2 and rep.count == 76
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            find_c_ordinary(GRID3, Constants(3), mode="turbo")
+            find_c_ordinary(GRID3, 3, mode="turbo")
 
     @pytest.mark.parametrize("mode", ["fast", "exhaustive", "count"])
     def test_negative_limit_rejected(self, mode):
         P = gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)])
         with pytest.raises(ValueError):
-            find_c_ordinary(P, Constants(5), mode=mode, limit=-1)
+            find_c_ordinary(P, 5, mode=mode, limit=-1)
 
     def test_small_c_rejected(self):
         with pytest.raises(ValueError):
@@ -445,16 +446,15 @@ class TestDispatch:
 
     def test_alpha_gate_is_strict(self):
         # alpha*n = 4n/(c+1); a line of exactly alpha*n points does not exceed it
-        const = Constants(7)
-        assert not const.exceeds_alpha_n(5, 10) and const.exceeds_alpha_n(6, 10)
-        assert const.exceeds_alpha_n(5, 9) and not const.exceeds_alpha_n(0, 1)
+        assert not exceeds_alpha_n(7, 5, 10) and exceeds_alpha_n(7, 6, 10)
+        assert exceeds_alpha_n(7, 5, 9) and not exceeds_alpha_n(7, 0, 1)
 
     @given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                    min_size=3, max_size=14), st.sampled_from([3, 5]))
     @settings(max_examples=60, deadline=None)
     def test_soundness_and_oracle_equivalence(self, coords, c):
         P = PointSet.of(sorted(coords))
-        rep = find_c_ordinary(P, Constants(c), mode="exhaustive")
+        rep = find_c_ordinary(P, c, mode="exhaustive")
         count, tris = enumerate_all_c_ordinary(P, c)
         assert rep.count == count
         prof = enumerate_lines(P)
