@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from math import comb
 
 from .incidence import (
@@ -74,15 +74,15 @@ def _bit_indices(bits: int):
         bits ^= low
 
 
-def _count_forward_triangles(later: list[int], edges) -> int:
-    """Triangles of a graph from its forward bitsets later (bit v of
-    later[u] is set for each neighbour v > u, so every edge is held once,
-    oriented upward) and its edges, each given once as (u, v) with u < v.
-    A triangle u < v < w shows in later[u] & later[v] at its edge (u, v)
-    only, so it is counted once (Chiba & Nishizeki 1985), by one
-    word-parallel AND and popcount per edge: no Python code runs per
+def _count_forward_triangles(later: list[int]) -> int:
+    """Triangles of a graph from its forward bitsets later: bit v of
+    later[u] is set for each neighbour v > u, so every edge (u, v) is held
+    once, oriented upward.  A triangle u < v < w shows in later[u] & later[v]
+    at its edge (u, v) only, so it is counted once (Chiba & Nishizeki 1985),
+    by one word-parallel AND and popcount per edge: no Python code runs per
     triangle."""
-    return sum((later[u] & later[v]).bit_count() for u, v in edges)
+    return sum((bits & later[v]).bit_count()
+               for bits in later for v in _bit_indices(bits))
 
 
 class CaseTaken(Enum):
@@ -108,20 +108,19 @@ class TriangleReport(namedtuple("TriangleReport",
     __slots__ = ()
 
 
-def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
-    """Forward bitsets of the graph G with an edge for every pair whose line
-    has <= c points: bit v of later[u] is set for each neighbour v > u.
+def _rich_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
+    """Forward bitsets of the graph H with an edge for every pair whose line
+    has > c points: bit v of h[u] is set for each neighbour v > u.
 
-    G is the complete graph minus the cliques of the rich lines, so later[u]
-    holds every index above u minus the members of each rich line through u.
-    Two lines share at most one point, so no pair is on two rich lines and G
-    is exact.  census must be line_census(P, rich_threshold=c)."""
+    H is the union of the cliques of the rich lines, each member checked on
+    its line.  Two lines share at most one point, so no pair is on two rich
+    lines and the cliques are edge-disjoint.  census must be
+    line_census(P, rich_threshold=c)."""
     n = len(P)
     if census.n != n or census.rich_threshold != c:
-        raise ValueError(f"build_poor_graph needs the census of P with rich_threshold={c}")
+        raise ValueError(f"the census given is not line_census(P, rich_threshold={c})")
     homogeneous = P.homogeneous
-    full = (1 << n) - 1
-    later = [full ^ ((2 << u) - 1) for u in range(n)]
+    h = [0] * n
     for line, _ in census.rich:
         members = census.members[line]
         clique = 0
@@ -131,8 +130,22 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
                 raise InvariantError(f"point {i} is listed on the rich line "
                                      f"{line.triple()} but does not lie on it")
             clique |= 1 << i
-        for i in members:
-            later[i] &= ~clique
+        for i in members:  # ascending: what is left of clique lies above i
+            clique ^= 1 << i
+            h[i] |= clique
+    return h
+
+
+def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
+    """Forward bitsets of the graph G with an edge for every pair whose line
+    has <= c points: bit v of later[u] is set for each neighbour v > u.
+
+    G is the complement of the rich-pair graph H, so later[u] holds every
+    index above u that is not H's.  census must be
+    line_census(P, rich_threshold=c)."""
+    full = (1 << len(P)) - 1
+    later = [full >> (u + 1) << (u + 1) ^ bits
+             for u, bits in enumerate(_rich_graph(P, census, c))]
     edges = sum(bits.bit_count() for bits in later)
     expected = sum(comb(l, 2) * k for l, k in census.count_by_mult.items() if l <= c)
     if edges != expected:
@@ -237,58 +250,31 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
 def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> int:
     """Exact c-ordinary triangle count from one census, listing no triangle.
 
-    Works on the multiplicity census: a triple is c-ordinary iff none of its
-    three pairs lies on a line with more than c points and the triple is not
-    collinear.  Triples touching rich lines are removed by inclusion-exclusion
-    over the graph H of pairs on rich lines; collinear triples on poor lines
-    are subtracted via the census histogram.  A given census must be
-    line_census(P, rich_threshold=c).
+    A triple is c-ordinary iff none of its three pairs is an edge of the
+    rich-pair graph H (pairs on lines with more than c points) and it is not
+    collinear.  A given census must be line_census(P, rich_threshold=c).
 
-    H's cross-line triangles come from the point side.  Two distinct lines
-    share at most one point, so listing the k_i rich lines through each point
-    i builds the meeting graph M of the rich lines, with sum C(k_i, 2) edges,
-    without intersecting any two lines.  Three pairwise meeting rich lines
-    either pass through one point (C(k_i, 3) such triples at point i) or meet
-    at three distinct points, which span a triangle of H: the cross-line
-    term is T(M) - sum C(k_i, 3).  T(M) takes one AND and popcount of two
-    r-bit forward bitsets per edge of M (r rich lines), so the cost beyond
-    the census is O(n + |M| * r / w) word operations on w-bit words, with
-    no loop over pairs or triples of rich lines and no Python code per
-    triangle of M.
+    Inclusion-exclusion over the edges of H counts the triples with no H
+    edge: C(n,3) - |H|(n-2) + sum C(d_i, 2) - T(H), where d_i, the degree
+    of i in H, is the sum of l - 1 over the rich lines through i, and T(H)
+    takes one AND and popcount of H's n-bit forward bitsets per edge of H.
+    A collinear triple lies on one line, so those left are the C(l,3)
+    triples of each poor line, read off the census histogram.
     """
     n = len(P)
     if n < 3:
         return 0
     if census is None:
         census = line_census(P, rich_threshold=c)
-    elif census.rich_threshold != c or census.n != n:
-        raise ValueError(f"count_c_ordinary needs the census of P with rich_threshold={c}")
-    total = comb(n, 3)
-    collinear_poor = sum(cnt * comb(l, 3)
-                         for l, cnt in census.count_by_mult.items() if l <= c)
-    if not census.rich:
-        return total - collinear_poor
-    # H = graph of pairs on rich lines; rich lines induce vertex-disjoint-edge
-    # cliques (two lines share at most one point).  Count triples with no
-    # H-edge by inclusion-exclusion over edges, paths, and triangles of H.
-    through: list[list[int]] = [[] for _ in range(n)]  # indices of the rich lines through i
-    for a, (line, _) in enumerate(census.rich):
+    h = _rich_graph(P, census, c)
+    degree = [0] * n
+    for line, mult in census.rich:
         for i in census.members[line]:
-            through[i].append(a)
-    mults = [mult for _, mult in census.rich]
-    m_h = sum(comb(mult, 2) for mult in mults)
-    tri_h = sum(comb(mult, 3) for mult in mults)
-    # M is the edge-disjoint union of the cliques on the ascending lists
-    # through[i], so their pairs give every edge of M once, as (a, b), a < b
-    later = [0] * len(mults)  # M's forward bitsets
-    for lines in through:
-        for a, b in combinations(lines, 2):
-            later[a] |= 1 << b
-    edges = (pair for lines in through for pair in combinations(lines, 2))
-    paths = sum(comb(sum(mults[a] - 1 for a in lines), 2) for lines in through)
-    tri_h += _count_forward_triangles(later, edges) - sum(comb(len(lines), 3) for lines in through)
-    no_rich_pair = total - m_h * (n - 2) + paths - tri_h
-    return no_rich_pair - collinear_poor
+            degree[i] += mult - 1
+    no_rich_pair = (comb(n, 3) - sum(degree) // 2 * (n - 2)
+                    + sum(comb(d, 2) for d in degree) - _count_forward_triangles(h))
+    return no_rich_pair - sum(cnt * comb(l, 3)
+                              for l, cnt in census.count_by_mult.items() if l <= c)
 
 
 def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,

@@ -242,6 +242,5 @@ class PoorGraph:
 
 def count_triangles(g: PoorGraph) -> int:
     """Exact triangle count of a simple undirected graph."""
-    later = [sum(1 << v for v in a if v > u) for u, a in enumerate(g.adj)]
-    return _count_forward_triangles(
-        later, ((u, v) for u, a in enumerate(g.adj) for v in a if v > u))
+    return _count_forward_triangles([sum(1 << v for v in a if v > u)
+                                     for u, a in enumerate(g.adj)])

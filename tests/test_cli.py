@@ -483,24 +483,29 @@ class TestExitPaths:
     def test_invariant_checks_survive_optimize(self):
         # the census of another set of the same size lists rich-line members
         # that are off those lines in P; a census whose histogram disagrees
-        # with its members breaks the poor-graph edge identity
-        script = ("from ordtri import InvariantError, PointSet, build_poor_graph, gen_grid, line_census\n"
+        # with its members breaks the poor-graph edge identity; the counter
+        # checks the rich-line members as the poor graph does
+        script = ("from ordtri import (InvariantError, PointSet, build_poor_graph,\n"
+                  "                    count_c_ordinary, gen_grid, line_census)\n"
                   "assert False, 'asserts are on'\n"
                   "P = gen_grid(4)\n"
-                  "shifted = PointSet.of([(p.x + 1, p.y) for p in P])\n"
+                  "shifted = line_census(PointSet.of([(p.x + 1, p.y) for p in P]), rich_threshold=3)\n"
                   "census = line_census(P, rich_threshold=3)\n"
                   "skewed = census._replace(count_by_mult={2: 25, 3: 8})\n"
-                  "for other in (line_census(shifted, rich_threshold=3), skewed):\n"
+                  "for call in (lambda: build_poor_graph(P, shifted, 3),\n"
+                  "             lambda: build_poor_graph(P, skewed, 3),\n"
+                  "             lambda: count_c_ordinary(P, 3, shifted)):\n"
                   "    try:\n"
-                  "        build_poor_graph(P, other, 3)\n"
+                  "        call()\n"
                   "    except InvariantError as exc:\n"
                   "        print('raised:', exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        first, second = proc.stdout.splitlines()
+        first, second, third = proc.stdout.splitlines()
         assert first.startswith("raised: point 0 is listed on the rich line")
         assert second.startswith("raised: poor-graph edge identity violated")
+        assert third.startswith("raised: point 0 is listed on the rich line")
 
     def test_broken_pipe_exits_141_silently(self, tmp_path):
         path = tmp_path / "grid8.txt"

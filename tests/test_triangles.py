@@ -217,6 +217,23 @@ class TestCensusPoorGraph:
             assert g.adj == adjacency(c), c
             assert poor_graph_size(P, c, census) == (g.edge_count, count_triangles(g)), c
 
+    @pytest.mark.parametrize("P", [
+        *(gen_grid(g) for g in range(9, 17)),
+        gen_cubic_progression(20),
+        gen_projection_augmented(gen_grid(4), CanonicalLine.of(1, -7, 100)),
+        gen_projection_augmented(gen_random(13, 10 ** 5, 7),
+                                 CanonicalLine.of(1, -12345, 6789012345)),
+        gen_random(300, 10 ** 9, 5),  # no three collinear: r = 0 at every c
+    ])
+    def test_count_equals_poor_graph_triangles(self, P):
+        # the other exact formula, T(G) less the collinear poor triples, as
+        # the reference at sizes the O(n^3) oracle does not reach
+        for c in (2, 3, 4, 8, 11):
+            census = line_census(P, rich_threshold=c)
+            collinear = sum(comb(l, 3) * k for l, k in census.count_by_mult.items() if l <= c)
+            g = PoorGraph.of(build_poor_graph(P, census, c))
+            assert count_c_ordinary(P, c, census) + collinear == count_triangles(g), c
+
 
 RICH_EXAMPLE = gen_rich_line_plus(10, [(0, 1), (1, 1), (2, 3)])
 
