@@ -4,11 +4,15 @@ find c-ordinary triangles, and verify the supporting bounds.
 Reports are JSON on stdout; rationals are serialized as exact "p/q" strings.
 Exit codes: 0 ok/found, 3 no triangle exists (find), 2 input error,
 1 internal error, violated invariant or violated theorem-backed bound,
-141 stdout closed early (broken pipe, 128 + SIGPIPE).
+141 stdout closed early (broken pipe, 128 + SIGPIPE).  An unwritable
+stderr does not change the exit code.
 
 A command imports only what it runs: bounds and generators are imported
 inside the one command that uses each, so the others do not pay for them
-at start-up.
+at start-up.  A report is written in one call, and entry() exits without
+the interpreter's teardown once stdout and stderr are flushed, so atexit
+handlers do not run after it; main() returns its exit code as usual to
+in-process callers.
 """
 from __future__ import annotations
 
@@ -76,8 +80,22 @@ def _bound_json(r) -> dict:
 
 def _emit(report: dict, started: float) -> None:
     report["timing_seconds"] = round(time.perf_counter() - started, 6)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(report, indent=2) + "\n")  # json.dump writes per token
+
+
+def _write(text: str) -> None:
+    """Write text to stdout in one call, to its binary layer if it has one.
+    An unbuffered stdout (python -u) may take only part of it, and its text
+    layer would drop the rest unseen, so what is left goes again: a reader
+    that went away then shows as BrokenPipeError."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data):]
 
 
 # --- generate ---------------------------------------------------------------
@@ -117,7 +135,7 @@ def cmd_generate(args) -> int:
         P = generators.gen_cubic_progression(_require(args, "m"))
     else:  # argparse choices make this unreachable
         raise ValueError(f"unknown kind {kind!r}")
-    sys.stdout.write(format_points(P))
+    _write(format_points(P))
     return 0
 
 
@@ -311,18 +329,42 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (PointFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _complain(f"error: {exc}", 2)
     except InvariantError as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 1
+        return _complain(f"invariant violated: {exc}", 1)
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        return _complain(f"internal error: {exc}", 1)
+
+
+def _complain(message: str, code: int) -> int:
+    """Print message on stderr and return code, also when stderr cannot be
+    written (a full disk, a closed pipe): the exit code tells the error."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main, flush stdout and stderr, and exit without the interpreter's
+    teardown (os._exit), which costs more than the pair pass on small
+    inputs.  A
+    stdout that breaks on that flush exits 141, as in main; any other
+    stream error keeps main's code.  Usage errors and --help exit through
+    argparse's SystemExit, with the normal teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            if stream is sys.stdout:
+                code = 141
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

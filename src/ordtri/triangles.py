@@ -143,9 +143,14 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
     G is the complement of the rich-pair graph H, so later[u] holds every
     index above u that is not H's.  census must be
     line_census(P, rich_threshold=c)."""
-    full = (1 << len(P)) - 1
-    later = [full >> (u + 1) << (u + 1) ^ bits
-             for u, bits in enumerate(_rich_graph(P, census, c))]
+    return _complement(census, c, _rich_graph(P, census, c))
+
+
+def _complement(census: LineCensus, c: int, h: list[int]) -> list[int]:
+    """build_poor_graph from H's forward bitsets h, checking G's edges
+    against the census."""
+    full = (1 << len(h)) - 1
+    later = [full >> (u + 1) << (u + 1) ^ bits for u, bits in enumerate(h)]
     edges = sum(bits.bit_count() for bits in later)
     expected = sum(comb(l, 2) * k for l, k in census.count_by_mult.items() if l <= c)
     if edges != expected:
@@ -160,10 +165,11 @@ def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
     """List the poor-graph triangles i < j < k in ascending order, k from
     the forward bitsets of i and j, dropping collinear triples, up to limit
     of them; the count of c-ordinary triangles comes from count_c_ordinary
-    on the same census.  A listing that ran to its end must match that
-    count."""
-    later = build_poor_graph(P, census, c)
-    count = count_c_ordinary(P, c, census)
+    on the same census, and both from one rich-pair graph H.  A listing
+    that ran to its end must match that count."""
+    h = _rich_graph(P, census, c)
+    later = _complement(census, c, h)
+    count = _count_from(census, c, h)
     pts, _, _ = P.scaled_ints
 
     def listed():
@@ -261,12 +267,16 @@ def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> i
     A collinear triple lies on one line, so those left are the C(l,3)
     triples of each poor line, read off the census histogram.
     """
-    n = len(P)
-    if n < 3:
+    if len(P) < 3:
         return 0
     if census is None:
         census = line_census(P, rich_threshold=c)
-    h = _rich_graph(P, census, c)
+    return _count_from(census, c, _rich_graph(P, census, c))
+
+
+def _count_from(census: LineCensus, c: int, h: list[int]) -> int:
+    """count_c_ordinary from H's forward bitsets h."""
+    n = len(h)
     degree = [0] * n
     for line, mult in census.rich:
         for i in census.members[line]:

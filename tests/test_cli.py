@@ -525,3 +525,106 @@ class TestExitPaths:
             proc.stderr.close()
         assert head == b'{\n  "versi'
         assert (code, err) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["generate", "--kind", "grid", "--size", "150"],
+                                      ["find", "GRID", "--c", "3", "--mode", "exhaustive"]])
+    def test_broken_pipe_exits_141_buffered_or_not(self, tmp_path, argv, unbuffered):
+        # each output, 147 KB of points or the ~245 KB report, goes in one
+        # write; an unbuffered stdout (PYTHONUNBUFFERED) takes only what the
+        # pipe holds before the reader leaves, and the rest must still fail
+        path = tmp_path / "grid8.txt"
+        path.write_text(format_points(gen_grid(8)))
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ordtri", *(str(path) if a == "GRID" else a for a in argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (141, b"")
+
+    @pytest.mark.parametrize("points,args,stdout_closed,code", [
+        # the ~245 KB report, in one write to a file
+        (gen_grid(8), ["--c", "3", "--mode", "exhaustive"], False, 0),
+        (PointSet.of([(0, 0), (1, 1), (2, 2), (5, 5)]), [], False, 3),
+        (None, [], False, 2),  # a missing path
+        # with fd 1 closed, sys.stdout is None: writing the report fails
+        (gen_grid(3), [], True, 1),
+    ])
+    def test_entry_point_exit_paths(self, capsys, tmp_path, points, args, stdout_closed,
+                                    code):
+        # python -m ordtri exits through entry(), without the interpreter's
+        # teardown: the child's exit code, stdout and stderr are main's
+        path = tmp_path / "points.txt"
+        if points is not None:
+            path.write_text(format_points(points))
+        argv = ["find", str(path), *args]
+        out_path = tmp_path / "report.json"
+        with open(out_path, "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "ordtri", *argv],
+                                  stdout=out, stderr=subprocess.PIPE, env=_child_env(),
+                                  timeout=60,
+                                  preexec_fn=(lambda: os.close(1)) if stdout_closed else None)
+        err = proc.stderr.decode()
+        assert proc.returncode == code, err
+        if stdout_closed:
+            assert err.startswith("internal error:") and "Traceback" not in err
+            assert out_path.read_bytes() == b""
+            return
+        expected_code, expected_out, expected_err = run(capsys, *argv)
+        assert (expected_code, err) == (code, expected_err)
+        out = out_path.read_text()
+        if expected_out:
+            assert out.endswith("}\n")
+            assert strip_timing(json.loads(out)) == strip_timing(json.loads(expected_out))
+        else:
+            assert out == "" and err.startswith("error: cannot read ")
+
+    def test_entry_skips_the_teardown(self, grid_file):
+        # entry() ends with os._exit once it has flushed, so an atexit
+        # handler registered before it does not run; main() returns
+        script = ("import atexit, sys\n"
+                  "from ordtri import cli\n"
+                  "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+                  "assert cli.main(['find', sys.argv[1], '--mode', 'count']) == 0\n"
+                  "sys.argv[1:] = ['find', sys.argv[1], '--mode', 'count']\n"
+                  "cli.entry()\n")
+        proc = subprocess.run([sys.executable, "-c", script, grid_file], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.count('"count": 76') == 2 and proc.stdout.endswith("}\n")
+
+    def test_usage_error_exits_through_argparse(self):
+        proc = subprocess.run([sys.executable, "-m", "ordtri", "find"], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: ordtri find")
+
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+        missing = str(tmp_path / "missing.txt")
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(["find", missing]) == 2
+        monkeypatch.undo()
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this host")
+        # a buffered stderr still holds the message when entry() flushes it
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run([sys.executable, "-m", "ordtri", "find", missing],
+                                      stdout=subprocess.PIPE, stderr=full,
+                                      env=dict(env, **unbuffered), timeout=60)
+            assert (proc.returncode, proc.stdout) == (2, b""), unbuffered

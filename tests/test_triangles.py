@@ -174,13 +174,28 @@ class TestPoorGraph:
         P = gen_grid(4)
         census = line_census(P, rich_threshold=3)
         real = count_c_ordinary(P, 3, census)
-        monkeypatch.setattr(ordtri.triangles, "count_c_ordinary", lambda *args: real + 1)
+        monkeypatch.setattr(ordtri.triangles, "_count_from", lambda *args: real + 1)
         with pytest.raises(InvariantError, match="listed"):
             find_case_poor_graph(P, census, 3)
         with pytest.raises(InvariantError, match="listed"):
             find_case_poor_graph(P, census, 3, limit=real + 2)
         tris, count = find_case_poor_graph(P, census, 3, limit=4)  # stopped early
         assert len(tris) == 4 and count == real + 1
+
+    def test_exhaustive_find_builds_h_once(self, monkeypatch):
+        # the listing's G and the count both come from one rich-pair graph H,
+        # whose build checks every rich-line member on its line
+        real = ordtri.triangles._rich_graph
+        calls = []
+        monkeypatch.setattr(ordtri.triangles, "_rich_graph",
+                            lambda *args: calls.append(args) or real(*args))
+        P = gen_grid(6)
+        rep = find_c_ordinary(P, 3, mode="exhaustive")
+        assert len(calls) == 1
+        assert rep.count == len(rep.triangles) == enumerate_all_c_ordinary(P, 3)[0]
+        shifted = line_census(PointSet.of([(p.x + 1, p.y) for p in P]), rich_threshold=3)
+        with pytest.raises(InvariantError, match="is listed on the rich line"):
+            find_case_poor_graph(P, shifted, 3)
 
 
 def brute_poor_adjacency(P):
