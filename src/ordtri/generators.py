@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from itertools import combinations
 
 from .geom import CanonicalLine, Point, incident, intersect, orientation, point
-from .incidence import PointSet, line_census
+from .incidence import PointSet, _line_of
 
 
 def gen_grid(g: int) -> PointSet:
@@ -36,12 +37,12 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
     for i, p in enumerate(P1):
         if incident(ell, p):
             raise ValueError(f"point {i} of the base set lies on the augmentation line")
-    # every line is above threshold 1, so the census lists them all; bases are small
-    census = line_census(P1, rich_threshold=1)
-    if census.line_count == 1:
+    # bases are small: one line object per pair of base points
+    lines = {_line_of(P1.homogeneous, i, j) for i, j in combinations(range(len(P1)), 2)}
+    if len(lines) < 2:
         raise ValueError("base set is collinear")
     added: set[Point] = set()
-    for l1 in census.members:
+    for l1 in lines:
         # no determined line is ell itself: it would hold two base points
         u = intersect(ell, l1)
         if u is None:

@@ -2,13 +2,13 @@
 ordinary-line finder.
 
 The census is the one pass over point pairs: it gives the multiplicity
-histogram and spectrum of the determined lines, and the members of the
-lines asked for, without keeping an object per line.  The pair loop runs
-over integer-scaled coordinates (clearing denominators per axis preserves
-collinearity), so the O(n^2) kernel is pure integer arithmetic even for
-rational inputs.  It keys each pair by one floor division, the exact slope
-key of its line (PointSet.lifted): no gcd and no tuple per pair.  A line's
-canonical triple is computed only for the lines a census reports.
+histogram and spectrum of the determined lines, and on request the graph
+of the pairs on rich lines or the line of most points, without keeping an
+object per line.  The pair loop runs over integer-scaled coordinates
+(clearing denominators per axis preserves collinearity), so the O(n^2)
+kernel is pure integer arithmetic even for rational inputs.  It keys each
+pair by one floor division, the exact slope key of its line
+(PointSet.lifted): no gcd and no tuple per pair.
 """
 from __future__ import annotations
 
@@ -149,11 +149,17 @@ def _slope_keys(x0: int, y0: int, others, level: int | None = None) -> list[int]
     return [(x - x0) // (y0 - y) if y != y0 else level for x, y in others]
 
 
-def _line_of(homogeneous, i: int, j: int) -> CanonicalLine:
-    """The line through points i and j: the cross product of their
-    homogeneous triples, reduced by one gcd and sign-normalized."""
+def _cross(homogeneous, i: int, j: int) -> tuple[int, int, int]:
+    """A triple (a, b, c) of the line through points i and j: the cross
+    product of their homogeneous triples, neither reduced nor normalized."""
     (x1, y1, w1), (x2, y2, w2) = homogeneous[i], homogeneous[j]
-    a, b, c = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
+    return y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
+
+
+def _line_of(homogeneous, i: int, j: int) -> CanonicalLine:
+    """The line through points i and j: their cross product, reduced by one
+    gcd and sign-normalized."""
+    a, b, c = _cross(homogeneous, i, j)
     g = gcd(a, b, c)
     if a < 0 or (a == 0 and b < 0):
         g = -g
@@ -256,10 +262,11 @@ class LineCensus(namedtuple("LineCensus", "n count_by_mult rich_threshold rich t
     """Multiplicity census of the determined lines, without materializing them.
 
     count_by_mult[l] = number of determined lines with exactly l points.
-    rich holds the (few) lines with multiplicity > rich_threshold explicitly.
-    top (None unless asked for) is the line of maximum multiplicity whose
-    first point in sweep order comes first, the lowest canonical triple of
-    such lines through it.  members maps every line the census reports to
+    rich (empty unless a rich_threshold t is given) is the rich-pair graph
+    H as n bitsets: bit v of rich[u] is set iff points u and v lie on a line
+    with more than t points.  top (None unless asked for) is the line of
+    maximum multiplicity whose first point in sweep order comes first, the
+    lowest canonical triple of such lines through it; members maps it to
     its point indices, ascending (a new empty dict by default).
     """
     __slots__ = ()
@@ -287,7 +294,8 @@ class LineCensus(namedtuple("LineCensus", "n count_by_mult rich_threshold rich t
 
 def line_census(P: PointSet, rich_threshold: int | None = None, *,
                 top: bool = False) -> LineCensus:
-    """O(n^2)-time, O(n)-memory census of determined-line multiplicities.
+    """O(n^2)-time, O(n)-memory census of determined-line multiplicities
+    (H, when asked for, takes n^2 bits).
 
     The points are visited in sweep order: scaled Y descending, then X
     ascending, an order of the coordinates only.  Each point groups the
@@ -301,18 +309,20 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     Only the first point p1 of a line in sweep order owns its group of
     size l-1, which is what the optional reports rest on:
 
-    - rich_threshold: every line with multiplicity > threshold, with its
-      members as ascending P-indices.  Its owner is the first point to see
-      it in a group of size >= threshold, and that group holds the other
-      members.  A point and a slope key fix a line, so the owner marks the
-      key at each member, whose row then skips that group.
+    - rich_threshold t >= 2: the rich-pair graph H.  The owner of a line
+      of more than t points sees the others in one group of size >= t.  It
+      checks each of them on the line through itself and the first, then
+      ORs the line's clique into the row of every point on it.  Two points
+      fix a line, so a later point of the line finds a bit of its group
+      already in its own row, and skips the group.  The owner also counts
+      the rich groups it leaves each of them, so that a row owning none of
+      its rich groups skips collecting them.
     - top: the first point to see a group of the largest size owns a line
       of maximum multiplicity; top is the least canonical triple among its
-      groups of that size.
-
-    A reported line's canonical triple comes from its owner and a point of
-    its group, with one gcd.
+      groups of that size, with its members.
     """
+    if rich_threshold is not None and rich_threshold < 2:
+        raise ValueError(f"rich_threshold must be >= 2, got {rich_threshold}")
     n = len(P)
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
@@ -321,8 +331,8 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     swept = [lifted[k] for k in order]
     group_size_hist: Counter[int] = Counter()
     homogeneous = P.homogeneous
-    marked = {}  # P-index -> the set of keys of its lines already owned
-    members = {}
+    rich = () if rich_threshold is None else [0] * n
+    owned_before = [0] * n  # P-index -> its rich groups on lines an earlier point owns
     top_size, top_row, top_keys, top_groups = 0, 0, None, None
     for r in range(n - 1):
         x0, y0 = swept[r]
@@ -336,19 +346,28 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
         else:  # no two later points share a line through this one: all groups of one
             group_size_hist[1] += len(keys)
             largest = 1
-        if rich_threshold is not None and largest >= rich_threshold:
-            seen = marked.pop(order[r], ())
-            rich_keys = keys if groups is None else \
-                [key for key, size in groups.items() if size >= rich_threshold]
-            found = {key: [order[r]] for key in rich_keys if key not in seen}
-            if found:
+        if rich_threshold is not None and largest >= rich_threshold:  # so groups is set
+            u = order[r]
+            rich_groups = {key: [] for key, size in groups.items() if size >= rich_threshold}
+            if len(rich_groups) > owned_before[u]:  # u owns one of them: collect them
                 for k, key in zip(order[r + 1:], keys):
-                    if key in found:
-                        found[key].append(k)
-                for key, line in found.items():  # owner, then the group in sweep order
-                    for k in line[1:-1]:
-                        marked.setdefault(k, set()).add(key)
-                    members[_line_of(homogeneous, line[0], line[1])] = tuple(sorted(line))
+                    if key in rich_groups:
+                        rich_groups[key].append(k)
+                for line in rich_groups.values():  # the line's later points, in sweep order
+                    if rich[u] >> line[0] & 1:  # an earlier point owns this line
+                        continue
+                    a, b, c = _cross(homogeneous, u, line[0])
+                    clique = 1 << u
+                    for k in line:
+                        x, y, w = homogeneous[k]
+                        if a * x + b * y + c * w:
+                            raise InvariantError(f"point {k} is grouped on the line through "
+                                                 f"points {u} and {line[0]} but is off it")
+                        clique |= 1 << k
+                    for k in (u, *line):
+                        rich[k] |= clique ^ 1 << k
+                    for k in line[:len(line) - rich_threshold]:  # k sees >= t later points of it
+                        owned_before[k] += 1
         if top and largest > top_size:
             top_size, top_row, top_keys, top_groups = largest, r, keys, groups
     if sum(s * c for s, c in group_size_hist.items()) != comb(n, 2):
@@ -360,8 +379,7 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     }
     if sum(comb(l, 2) * c for l, c in count_by_mult.items()) != comb(n, 2):
         raise InvariantError("pair-sum identity violated by the census")
-    rich = tuple((line, len(members[line])) for line in sorted(members))
-    top_line = None
+    top_line, members = None, {}
     if top:
         top_line = min(_line_of(homogeneous, order[top_row], k)
                        for k, key in zip(order[top_row + 1:], top_keys)

@@ -108,32 +108,12 @@ class TriangleReport(namedtuple("TriangleReport",
     __slots__ = ()
 
 
-def _rich_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
-    """Forward bitsets of the graph H with an edge for every pair whose line
-    has > c points: bit v of h[u] is set for each neighbour v > u.
-
-    H is the union of the cliques of the rich lines, each member checked on
-    its line.  Two lines share at most one point, so no pair is on two rich
-    lines and the cliques are edge-disjoint.  census must be
-    line_census(P, rich_threshold=c)."""
-    n = len(P)
-    if census.n != n or census.rich_threshold != c:
+def _rich_pairs(P: PointSet, census: LineCensus, c: int) -> list[int]:
+    """census.rich, the rich-pair graph H of P at threshold c, once census
+    is checked to be line_census(P, rich_threshold=c)."""
+    if census.n != len(P) or census.rich_threshold != c:
         raise ValueError(f"the census given is not line_census(P, rich_threshold={c})")
-    homogeneous = P.homogeneous
-    h = [0] * n
-    for line, _ in census.rich:
-        members = census.members[line]
-        clique = 0
-        for i in members:
-            x, y, w = homogeneous[i]
-            if line.a * x + line.b * y + line.c * w != 0:
-                raise InvariantError(f"point {i} is listed on the rich line "
-                                     f"{line.triple()} but does not lie on it")
-            clique |= 1 << i
-        for i in members:  # ascending: what is left of clique lies above i
-            clique ^= 1 << i
-            h[i] |= clique
-    return h
+    return census.rich
 
 
 def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
@@ -142,15 +122,11 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
 
     G is the complement of the rich-pair graph H, so later[u] holds every
     index above u that is not H's.  census must be
-    line_census(P, rich_threshold=c)."""
-    return _complement(census, c, _rich_graph(P, census, c))
-
-
-def _complement(census: LineCensus, c: int, h: list[int]) -> list[int]:
-    """build_poor_graph from H's forward bitsets h, checking G's edges
-    against the census."""
-    full = (1 << len(h)) - 1
-    later = [full >> (u + 1) << (u + 1) ^ bits for u, bits in enumerate(h)]
+    line_census(P, rich_threshold=c); G's edges are checked against its
+    histogram."""
+    full = (1 << len(P)) - 1
+    later = [(full ^ bits) >> u + 1 << u + 1
+             for u, bits in enumerate(_rich_pairs(P, census, c))]
     edges = sum(bits.bit_count() for bits in later)
     expected = sum(comb(l, 2) * k for l, k in census.count_by_mult.items() if l <= c)
     if edges != expected:
@@ -165,11 +141,10 @@ def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
     """List the poor-graph triangles i < j < k in ascending order, k from
     the forward bitsets of i and j, dropping collinear triples, up to limit
     of them; the count of c-ordinary triangles comes from count_c_ordinary
-    on the same census, and both from one rich-pair graph H.  A listing
+    on the same census, and both from its rich-pair graph H.  A listing
     that ran to its end must match that count."""
-    h = _rich_graph(P, census, c)
-    later = _complement(census, c, h)
-    count = _count_from(census, c, h)
+    later = build_poor_graph(P, census, c)
+    count = count_c_ordinary(P, c, census)
     pts, _, _ = P.scaled_ints
 
     def listed():
@@ -258,31 +233,26 @@ def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> i
 
     A triple is c-ordinary iff none of its three pairs is an edge of the
     rich-pair graph H (pairs on lines with more than c points) and it is not
-    collinear.  A given census must be line_census(P, rich_threshold=c).
+    collinear.  A given census must be line_census(P, rich_threshold=c).  At
+    c <= 1 every line is rich, so the count is 0 and no census is run.
 
     Inclusion-exclusion over the edges of H counts the triples with no H
-    edge: C(n,3) - |H|(n-2) + sum C(d_i, 2) - T(H), where d_i, the degree
-    of i in H, is the sum of l - 1 over the rich lines through i, and T(H)
-    takes one AND and popcount of H's n-bit forward bitsets per edge of H.
-    A collinear triple lies on one line, so those left are the C(l,3)
-    triples of each poor line, read off the census histogram.
+    edge: C(n,3) - |H|(n-2) + sum C(d_i, 2) - T(H), where d_i is the degree
+    of i in H, a popcount, and T(H) takes one AND and popcount of H's n-bit
+    forward bitsets per edge of H.  A collinear triple lies on one line, so
+    those left are the C(l,3) triples of each poor line, read off the census
+    histogram.
     """
-    if len(P) < 3:
+    n = len(P)
+    if n < 3 or c < 2:
         return 0
     if census is None:
         census = line_census(P, rich_threshold=c)
-    return _count_from(census, c, _rich_graph(P, census, c))
-
-
-def _count_from(census: LineCensus, c: int, h: list[int]) -> int:
-    """count_c_ordinary from H's forward bitsets h."""
-    n = len(h)
-    degree = [0] * n
-    for line, mult in census.rich:
-        for i in census.members[line]:
-            degree[i] += mult - 1
+    h = _rich_pairs(P, census, c)
+    degree = [bits.bit_count() for bits in h]
+    later = [bits >> u + 1 << u + 1 for u, bits in enumerate(h)]
     no_rich_pair = (comb(n, 3) - sum(degree) // 2 * (n - 2)
-                    + sum(comb(d, 2) for d in degree) - _count_forward_triangles(h))
+                    + sum(comb(d, 2) for d in degree) - _count_forward_triangles(later))
     return no_rich_pair - sum(cnt * comb(l, 3)
                               for l, cnt in census.count_by_mult.items() if l <= c)
 
@@ -310,8 +280,8 @@ def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,
     triangles may exist below the theorem's regime.  Any integer c is
     accepted (the paper's constants need c >= 3): at c <= 1 every line, of
     at least 2 points, is rich, so the poor graph has no edge and the count
-    is 0; the spectrum then comes from a plain census, since one at that
-    threshold would keep the members of every line.
+    is 0; the spectrum then comes from a plain census, since the census
+    takes no threshold below 2.
     """
     if mode not in ("fast", "exhaustive", "count"):
         raise ValueError(f"unknown mode {mode!r}")

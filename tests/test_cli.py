@@ -481,31 +481,32 @@ class TestExitPaths:
         assert err == "invariant violated: pair-sum identity violated by the census\n"
 
     def test_invariant_checks_survive_optimize(self):
-        # the census of another set of the same size lists rich-line members
-        # that are off those lines in P; a census whose histogram disagrees
-        # with its members breaks the poor-graph edge identity; the counter
-        # checks the rich-line members as the poor graph does
-        script = ("from ordtri import (InvariantError, PointSet, build_poor_graph,\n"
-                  "                    count_c_ordinary, gen_grid, line_census)\n"
+        # a census whose histogram disagrees with its H breaks the poor-graph
+        # edge identity; slope keys that merge the mirror slopes t and -t
+        # group points of two lines together, and the census checks every
+        # point of a rich group on the group's line
+        script = ("import ordtri.incidence\n"
+                  "from ordtri import (InvariantError, build_poor_graph, count_c_ordinary,\n"
+                  "                    gen_grid, line_census)\n"
                   "assert False, 'asserts are on'\n"
                   "P = gen_grid(4)\n"
-                  "shifted = line_census(PointSet.of([(p.x + 1, p.y) for p in P]), rich_threshold=3)\n"
-                  "census = line_census(P, rich_threshold=3)\n"
-                  "skewed = census._replace(count_by_mult={2: 25, 3: 8})\n"
-                  "for call in (lambda: build_poor_graph(P, shifted, 3),\n"
-                  "             lambda: build_poor_graph(P, skewed, 3),\n"
-                  "             lambda: count_c_ordinary(P, 3, shifted)):\n"
+                  "skewed = line_census(P, rich_threshold=3)._replace(count_by_mult={2: 25, 3: 8})\n"
+                  "def report(call):\n"
                   "    try:\n"
                   "        call()\n"
                   "    except InvariantError as exc:\n"
-                  "        print('raised:', exc)\n")
+                  "        print('raised:', exc)\n"
+                  "report(lambda: build_poor_graph(P, skewed, 3))\n"
+                  "real = ordtri.incidence._slope_keys\n"
+                  "ordtri.incidence._slope_keys = lambda *args: [abs(key) for key in real(*args)]\n"
+                  "report(lambda: count_c_ordinary(P, 3))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        first, second, third = proc.stdout.splitlines()
-        assert first.startswith("raised: point 0 is listed on the rich line")
-        assert second.startswith("raised: poor-graph edge identity violated")
-        assert third.startswith("raised: point 0 is listed on the rich line")
+        first, second = proc.stdout.splitlines()
+        assert first.startswith("raised: poor-graph edge identity violated")
+        # points 13, 8 and 10 are (1, 3), (0, 2) and (2, 2)
+        assert second == "raised: point 10 is grouped on the line through points 13 and 8 but is off it"
 
     def test_broken_pipe_exits_141_silently(self, tmp_path):
         path = tmp_path / "grid8.txt"

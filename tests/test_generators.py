@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordtri.geom import CanonicalLine, incident, orientation, point
-from ordtri.incidence import DegeneracyTag, classify_degeneracy, line_census
+from ordtri.geom import CanonicalLine, incident, intersect, orientation, point
+from ordtri.incidence import DegeneracyTag, PointSet, classify_degeneracy, line_census
 from ordtri.generators import (
     gen_cubic_progression,
     gen_grid,
@@ -70,6 +70,18 @@ class TestProjectionAugmented:
         full_profile = enumerate_lines(P)
         for l in base_profile.entries:
             assert full_profile.entries[l] > base_profile.entries[l]
+
+    @pytest.mark.parametrize("base, ell", [
+        (gen_random(12, 10 ** 5, 3), CanonicalLine.of(1, -13577, 10 ** 9 + 7)),
+        (PointSet.of([(0, 0), ("1/2", "1/3"), (2, "5/7"), (-1, 3), ("7/4", "-2/9"), (3, 1)]),
+         CanonicalLine.of(3, -2, 1)),
+    ], ids=["integer-base", "rational-base"])
+    def test_matches_the_reference_lines(self, base, ell):
+        # the base, then the meets of ell with every line of the reference
+        # profile, ascending: the same points in the same order, so the same
+        # point file
+        added = sorted({intersect(ell, l) for l in enumerate_lines(base).entries})
+        assert gen_projection_augmented(base, ell) == PointSet(tuple(base) + tuple(added))
 
     def test_parallel_line_rejected(self):
         from ordtri.incidence import PointSet

@@ -88,7 +88,7 @@ ORDER_SETS = CENSUS_SETS + [
     PointSet.of([(Fraction(x, 3), Fraction(y, 5)) for x in range(4) for y in range(4)]
                 + [("1/7", "2/9"), ("-5/2", "1/5")]),
 ]
-CENSUS_ASKS = [{"rich_threshold": t} for t in (1, 2, 3, 12000)] + [{"top": True}]
+CENSUS_ASKS = [{"rich_threshold": t} for t in (2, 3, 12000)] + [{"top": True}]
 
 
 class TestEnumerateLines:
@@ -166,13 +166,19 @@ class TestLineCensus:
         assert census.spectrum_table() == spectrum_table(prof)
 
     def test_rich_line_collection(self):
+        # H is the union of the cliques of the lines with more than 3 points:
+        # the 4 rows, the 4 columns and the 2 long diagonals of the grid
         P = gen_grid(4)
         census = line_census(P, rich_threshold=3)
-        prof = enumerate_lines(P)
-        expected = sorted(((l, m) for l, m in prof.entries.items() if m > 3),
-                          key=lambda pair: pair[0].triple())
-        assert list(census.rich) == expected
-        assert all(census.members[l] == tuple(points_on_line(P, l)) for l, _ in expected)
+        expected = [0] * len(P)
+        for l, m in enumerate_lines(P).entries.items():
+            if m > 3:
+                on = points_on_line(P, l)
+                for i in on:
+                    expected[i] |= sum(1 << j for j in on if j != i)
+        assert census.rich == expected
+        assert [bits.bit_count() for bits in census.rich] == [
+            9 if x == y or x + y == 3 else 6 for y in range(4) for x in range(4)]
 
     @pytest.mark.parametrize("P", CENSUS_SETS + [gen_grid(5), PointSet.of([(0, 0), (1, 1), (2, 2)])])
     def test_top_and_ordinary_match_profile(self, P):
@@ -194,19 +200,19 @@ class TestLineCensus:
 
 def brute_force_census(P, rich_threshold=None, top=False):
     """The census's reports from every pair keyed one at a time: the
-    histogram, the rich lines, the members of the lines reported, the top
-    line."""
+    histogram, the rich-pair graph H as the set of pairs (i, j), i < j, on
+    lines with more than rich_threshold points, the top line and its
+    members."""
     pts, sx, sy = P.scaled_ints
     groups = defaultdict(set)
     for i, j in itertools.combinations(range(len(P)), 2):
         groups[_scaled_line_key(*pts[i], *pts[j])] |= {i, j}
     lines = {CanonicalLine(*_unscale(key, sx, sy)): tuple(sorted(idx))
              for key, idx in groups.items()}
-    rich, members, top_line = (), {}, None
+    rich, members, top_line = None, {}, None
     if rich_threshold is not None:
-        rich = tuple(sorted(((l, len(idx)) for l, idx in lines.items() if len(idx) > rich_threshold),
-                            key=lambda pair: pair[0].triple()))
-        members.update((l, lines[l]) for l, _ in rich)
+        rich = {pair for idx in lines.values() if len(idx) > rich_threshold
+                for pair in itertools.combinations(idx, 2)}
     if top:  # the line of most points whose first point in sweep order comes first
         most = max(map(len, lines.values()))
         top_line = min((l for l, idx in lines.items() if len(idx) == most),
@@ -217,10 +223,18 @@ def brute_force_census(P, rich_threshold=None, top=False):
 
 def census_in_p_indices(P, perm, **asks):
     """The census of P reordered so that its k-th point is P[perm[k]], with
-    its members mapped back to ascending P-indices."""
+    H (as brute_force_census gives it) and the members mapped back to
+    P-indices.  H's bitsets must be symmetric."""
     census = line_census(PointSet(tuple(P[k] for k in perm)), **asks)
+    rich = None
+    if census.rich_threshold is not None:
+        h = census.rich
+        assert len(h) == len(P)
+        assert all(h[u] >> v & 1 == h[v] >> u & 1 for u in range(len(P)) for v in range(len(P)))
+        rich = {tuple(sorted((perm[u], perm[v]))) for u in range(len(P))
+                for v in range(u + 1, len(P)) if h[u] >> v & 1}
     members = {l: tuple(sorted(perm[k] for k in idx)) for l, idx in census.members.items()}
-    return census.count_by_mult, census.rich, members, census.top
+    return census.count_by_mult, rich, members, census.top
 
 
 def line_partition(P, k):
@@ -263,16 +277,19 @@ def farey_neighbours(span, offset=0):
 
 
 class TestCensusOrder:
-    @pytest.mark.parametrize("asks", CENSUS_ASKS,
+    @pytest.mark.parametrize("asks", CENSUS_ASKS + [{"rich_threshold": 1}],
                              ids=lambda asks: ",".join(f"{k}={v}" for k, v in asks.items()))
     @pytest.mark.parametrize("P", ORDER_SETS)
     def test_independent_of_input_order(self, P, asks):
         n = len(P)
         shuffled = list(range(n))
         random.Random(n).shuffle(shuffled)
-        expected = brute_force_census(P, **asks)
         for perm in (range(n), shuffled, range(n - 1, -1, -1)):
-            assert census_in_p_indices(P, list(perm), **asks) == expected
+            if asks.get("rich_threshold", 2) < 2:  # every line is rich: no H to tell
+                with pytest.raises(ValueError, match="rich_threshold must be >= 2"):
+                    census_in_p_indices(P, list(perm), **asks)
+            else:
+                assert census_in_p_indices(P, list(perm), **asks) == brute_force_census(P, **asks)
 
     coords = st.integers(-20, 20) | st.integers(-2 ** 70, 2 ** 70)
     # mixed denominators: a few primes per axis, so the lcm grows past any
@@ -341,17 +358,6 @@ class TestCensusOrder:
             assert 3 <= len(rows_counted) < len(P) - 1
         census = line_census(P, top=True)
         assert census.members[census.top] == tuple(range(40, 45))
-
-    def test_threshold_one_lists_every_line_without_a_triple(self):
-        """gen_projection_augmented reads every determined line of its base
-        from line_census(P, rich_threshold=1), also when no row repeats a
-        key."""
-        P = gen_random(25, 10 ** 9, 4)
-        census = line_census(P, rich_threshold=1)
-        assert census.count_by_mult == {2: comb(25, 2)}
-        assert census.members == {line_through(P[i], P[j]): (i, j)
-                                  for i, j in itertools.combinations(range(25), 2)}
-        assert len(census.rich) == comb(25, 2)
 
 
 class TestClassifyDegeneracy:

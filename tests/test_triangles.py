@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtri.geom import CanonicalLine, line_through, orientation, point
+import ordtri.incidence
 import ordtri.triangles
 from ordtri.incidence import DegeneracyTag, InvariantError, PointSet, line_census
 from ordtri.triangles import (
@@ -174,7 +175,7 @@ class TestPoorGraph:
         P = gen_grid(4)
         census = line_census(P, rich_threshold=3)
         real = count_c_ordinary(P, 3, census)
-        monkeypatch.setattr(ordtri.triangles, "_count_from", lambda *args: real + 1)
+        monkeypatch.setattr(ordtri.triangles, "count_c_ordinary", lambda *args: real + 1)
         with pytest.raises(InvariantError, match="listed"):
             find_case_poor_graph(P, census, 3)
         with pytest.raises(InvariantError, match="listed"):
@@ -183,19 +184,18 @@ class TestPoorGraph:
         assert len(tris) == 4 and count == real + 1
 
     def test_exhaustive_find_builds_h_once(self, monkeypatch):
-        # the listing's G and the count both come from one rich-pair graph H,
-        # whose build checks every rich-line member on its line
-        real = ordtri.triangles._rich_graph
-        calls = []
-        monkeypatch.setattr(ordtri.triangles, "_rich_graph",
-                            lambda *args: calls.append(args) or real(*args))
+        # the listing's G and the count both come from the census's H, whose
+        # build checks every point of a rich group on the group's line: a
+        # slope key shared by the mirror slopes t and -t puts the points of
+        # two lines in one group, which the census refuses
         P = gen_grid(6)
         rep = find_c_ordinary(P, 3, mode="exhaustive")
-        assert len(calls) == 1
         assert rep.count == len(rep.triangles) == enumerate_all_c_ordinary(P, 3)[0]
-        shifted = line_census(PointSet.of([(p.x + 1, p.y) for p in P]), rich_threshold=3)
-        with pytest.raises(InvariantError, match="is listed on the rich line"):
-            find_case_poor_graph(P, shifted, 3)
+        real = ordtri.incidence._slope_keys
+        monkeypatch.setattr(ordtri.incidence, "_slope_keys",
+                            lambda *args: [abs(key) for key in real(*args)])
+        with pytest.raises(InvariantError, match="is grouped on the line through"):
+            find_c_ordinary(P, 3, mode="exhaustive")
 
 
 def brute_poor_adjacency(P):
@@ -379,6 +379,18 @@ class TestCountOnly:
         for c in (3, 4, 5):
             assert count_c_ordinary(P, c) == enumerate_all_c_ordinary(P, c)[0]
 
+    @pytest.mark.parametrize("c", [1, 0, -1])
+    def test_every_line_rich_counts_zero_without_a_census(self, monkeypatch, c):
+        # at c <= 1 every pair is on a rich line; the census refuses such a
+        # threshold, and the counter needs none
+        calls = []
+        monkeypatch.setattr(ordtri.triangles, "line_census",
+                            lambda *args, **kwargs: calls.append(args))
+        assert count_c_ordinary(gen_grid(4), c) == 0
+        assert calls == []
+        with pytest.raises(ValueError, match="rich_threshold must be >= 2"):
+            line_census(gen_grid(4), rich_threshold=c)
+
     def test_cross_line_rich_triangles(self):
         # three long lines forming a triangle of mutual intersection points
         pts = {(t, 0) for t in range(7)} | {(0, t) for t in range(1, 7)} \
@@ -397,7 +409,8 @@ class TestCountOnly:
         P = PointSet.of(sorted(pts))
         census = line_census(P, rich_threshold=3)
         origin = P.points.index(point(0, 0))
-        through_origin = [line for line, _ in census.rich if origin in census.members[line]]
+        through_origin = {line_through(P[origin], P[j]) for j in range(len(P))
+                          if census.rich[origin] >> j & 1}
         assert len(through_origin) >= 3
         for c in (3, 4):
             census = line_census(P, rich_threshold=c)
