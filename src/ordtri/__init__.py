@@ -5,9 +5,9 @@ modules it runs.
 """
 
 _EXPORTS = {
-    "geom": "CanonicalLine DegeneratePairError Point incident intersect line_through "
-            "orientation point",
-    "incidence": "DegeneracyClass DegeneracyTag InvariantError LineCensus PointSet "
+    "geom": "CanonicalLine DegeneratePairError Point PointSet incident intersect "
+            "line_through orientation point",
+    "incidence": "DegeneracyClass DegeneracyTag InvariantError LineCensus "
                  "SylvesterGallaiError UnderdeterminedError classify_degeneracy "
                  "find_ordinary_line line_census",
     "triangles": "DEFAULT_C_PRIME DEFAULT_CONSTANTS CaseTaken Constants "

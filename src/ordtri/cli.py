@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 from . import triangles
@@ -87,7 +86,10 @@ def _write(text: str) -> None:
     """Write text to stdout in one call, to its binary layer if it has one.
     An unbuffered stdout (python -u) may take only part of it, and its text
     layer would drop the rest unseen, so what is left goes again: a reader
-    that went away then shows as BrokenPipeError."""
+    that went away then shows as BrokenPipeError, and so does a closed
+    fd 1, where sys.stdout is None."""
+    if sys.stdout is None:
+        raise BrokenPipeError("stdout is closed")
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
         sys.stdout.write(text)
@@ -141,10 +143,12 @@ def cmd_generate(args) -> int:
 
 def _parse_extra(text: str) -> tuple[Fraction, Fraction]:
     """An --extra X,Y point, each coordinate in the point-file grammar."""
+    from fractions import Fraction
+
     where, toks = f"--extra {text!r}", text.split(",")
     if len(toks) != 2:
         raise PointFileError(f"{where}: expected 'X,Y'")
-    return _parse_coord(toks[0], where), _parse_coord(toks[1], where)
+    return Fraction(*_parse_coord(toks[0], where)), Fraction(*_parse_coord(toks[1], where))
 
 
 def _require(args, name):
@@ -223,6 +227,8 @@ def cmd_find(args) -> int:
 # --- verify-bounds ----------------------------------------------------------
 
 def cmd_verify_bounds(args) -> int:
+    from fractions import Fraction
+
     from . import bounds
 
     started = time.perf_counter()
@@ -324,9 +330,10 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader went away; send the interpreter's final flush to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 141
     except (PointFileError, ValueError) as exc:
         return _complain(f"error: {exc}", 2)

@@ -8,8 +8,8 @@ import random
 from collections.abc import Iterable
 from itertools import combinations
 
-from .geom import CanonicalLine, Point, incident, intersect, orientation, point
-from .incidence import PointSet, _line_of
+from .geom import CanonicalLine, Point, PointSet, _row, intersect, orientation, point
+from .incidence import _line_of
 
 
 def gen_grid(g: int) -> PointSet:
@@ -34,8 +34,9 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
     picks one up, which eliminates 2-ordinary triangles.  ell must be generic:
     it meets every determined line in a single point and avoids P1.
     """
-    for i, p in enumerate(P1):
-        if incident(ell, p):
+    a, b, c = ell
+    for i, (x, y, w) in enumerate(P1.homogeneous):
+        if a * x + b * y + c * w == 0:
             raise ValueError(f"point {i} of the base set lies on the augmentation line")
     # bases are small: one line object per pair of base points
     lines = {_line_of(P1.homogeneous, i, j) for i, j in combinations(range(len(P1)), 2)}
@@ -48,7 +49,8 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
         if u is None:
             raise ValueError("augmentation line not generic: parallel to a determined line")
         added.add(u)
-    return PointSet(tuple(P1) + tuple(sorted(added)))
+    # the added points lie on ell and the base points off it: all distinct
+    return PointSet._of_rows(P1.rows + tuple(map(_row, sorted(added))), distinct=True)
 
 
 def gen_rich_line_plus(k: int, extras: Iterable) -> PointSet:
@@ -88,18 +90,14 @@ def gen_random(n: int, coordinate_bound: int, seed: int) -> PointSet:
     if coordinate_bound < n:
         raise ValueError("coordinate bound must be >= n to keep distinctness feasible")
     rng = random.Random(seed)
-    seen: set[tuple[int, int]] = set()
-    pts: list[tuple[int, int]] = []
+    rows: dict[tuple[int, int, int, int], None] = {}  # the integer rows drawn, in order
     attempts = 0
-    while len(pts) < n:
+    while len(rows) < n:
         attempts += 1
         if attempts > 100 * n + 1000:
             raise ValueError(f"could not place {n} distinct points in [0,{coordinate_bound}]^2")
-        xy = (rng.randrange(coordinate_bound + 1), rng.randrange(coordinate_bound + 1))
-        if xy not in seen:
-            seen.add(xy)
-            pts.append(xy)
-    return PointSet.of(pts)
+        rows[rng.randrange(coordinate_bound + 1), 1, rng.randrange(coordinate_bound + 1), 1] = None
+    return PointSet._of_rows(rows, distinct=True)
 
 
 def gen_cubic_progression(m: int) -> PointSet:

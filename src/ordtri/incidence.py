@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from enum import Enum
-from fractions import Fraction
-from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, gcd
 
-from .geom import CanonicalLine, Point
+from .geom import CanonicalLine, PointSet
 
 
 class UnderdeterminedError(ValueError):
@@ -35,94 +33,6 @@ class InvariantError(RuntimeError):
     """An identity that holds for every input failed: a defect, not bad input.
 
     Raised by explicit checks, so that it still fires under ``python -O``."""
-
-
-class PointSet:
-    """Ordered, pairwise-distinct points.  Index order is the canonical
-    identity used in all reports."""
-
-    def __init__(self, points: tuple[Point, ...]):
-        if len(set(points)) != len(points):
-            seen: dict[Point, int] = {}
-            for i, p in enumerate(points):
-                if p in seen:
-                    raise ValueError(f"duplicate point at indices {seen[p]} and {i}: {p!r}")
-                seen[p] = i
-        self.points = points
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __repr__(self):
-        return f"PointSet(points={self.points!r})"
-
-    @classmethod
-    def of(cls, coords: Iterable) -> "PointSet":
-        pts = []
-        for xy in coords:
-            if isinstance(xy, Point):
-                pts.append(xy)
-            else:
-                x, y = xy
-                pts.append(Point(Fraction(x), Fraction(y)))
-        return cls(tuple(pts))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, i) -> Point:
-        return self.points[i]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @cached_property
-    def scaled_ints(self) -> tuple[list[tuple[int, int]], int, int]:
-        """Integer coordinates (X, Y) = (sx*x, sy*y) with per-axis denominator
-        clearing.  The axis scaling is a positive-determinant linear map, so
-        collinearity and line multiplicities are preserved."""
-        sx = lcm(*(p.x.denominator for p in self.points)) if self.points else 1
-        sy = lcm(*(p.y.denominator for p in self.points)) if self.points else 1
-        pts = [(p.x.numerator * (sx // p.x.denominator), p.y.numerator * (sy // p.y.denominator))
-               for p in self.points]
-        return pts, sx, sy
-
-    @cached_property
-    def homogeneous(self) -> list[tuple[int, int, int]]:
-        """Each point as the integer triple (X, Y, W) = (x*W, y*W, W), with
-        W = lcm of the denominators of x and y; a line (a, b, c) holds the
-        point iff a*X + b*Y + c*W == 0."""
-        out = []
-        for p in self.points:
-            w = lcm(p.x.denominator, p.y.denominator)
-            out.append((p.x.numerator * (w // p.x.denominator),
-                        p.y.numerator * (w // p.y.denominator), w))
-        return out
-
-    @cached_property
-    def lifted(self) -> tuple[list[tuple[int, int]], int]:
-        """The scaled points lifted to (X << S, Y), and the key of a level pair.
-
-        The slope key of the line from (X0, Y0) to (X, Y), Y != Y0, is the
-        lifted (X - X0) // (Y0 - Y), floor(2^S * t) of its slope t.  Distinct
-        slopes differ by at least 1 / span(Y)^2, and on rational input by
-        (sx/sy) / 2^(4B+2), B the largest bit length in homogeneous (slopes
-        in original coordinates have denominators below 2^(2B+1)); so the
-        smaller of S = 2 * bitlen(span(Y)) and 4B + 3 + bitlen(sy) -
-        bitlen(sx) keeps their keys apart.  A level pair (Y = Y0) takes the
-        key (span(X) + 1) << S, above every slope key."""
-        pts, sx, sy = self.scaled_ints
-        xs, ys = zip(*pts)
-        shift = 2 * (max(ys) - min(ys)).bit_length()
-        if sx * sy > 1:
-            bits = max(v.bit_length() for point in self.homogeneous for v in point)
-            shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
-        return [(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift
 
 
 def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:

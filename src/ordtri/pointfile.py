@@ -3,15 +3,17 @@ coordinates.  Blank lines are ignored, and '#' starts a comment that runs to
 the end of the line, on a line of its own or after a point.  Floating-point
 literals are rejected outright: silently rationalizing decimals would change
 the collinearity structure.
+
+A file is read straight into the reduced integer rows of PointSet, and
+written from them: no Fraction is made either way.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from fractions import Fraction
+from math import gcd
 
-from .geom import Point
-from .incidence import PointSet
+from .geom import PointSet
 
 _COORD = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # ASCII digits, q > 0, for fullmatch
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
@@ -21,41 +23,51 @@ class PointFileError(ValueError):
     """Parse failure; message carries where it failed (line numbers, option)."""
 
 
-def _parse_coord(tok: str, where: str) -> Fraction:
-    """One coordinate token; where locates it in the error message.  The
-    Fraction is built from the parts the grammar matched, not parsed again."""
+def _parse_coord(tok: str, where: str) -> tuple[int, int]:
+    """One coordinate token as its reduced (numerator, denominator > 0);
+    where locates it in the error message.  The integers come from the
+    parts the grammar matched, with one gcd for a p/q token."""
     m = _COORD.fullmatch(tok)
     if m is None:
         raise PointFileError(
             f"{where}: bad coordinate {tok!r} (integer or p/q rational required)")
-    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
+    p, q = m.groups()
+    if q is None:
+        return int(p), 1
+    p, q = int(p), int(q)
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def parse_points(stream: Iterable[str]) -> PointSet:
-    seen: dict[Point, int] = {}  # each point, in file order, at its first line
+    seen: dict[tuple[int, int, int, int], int] = {}  # each row, in file order, at its first line
     duplicates: list[str] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         if len(toks) != 2:
+            line = raw.split("#", 1)[0].strip()
             raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
         where = f"line {lineno}"
-        p = Point(_parse_coord(toks[0], where), _parse_coord(toks[1], where))
-        first = seen.setdefault(p, lineno)
+        row = _parse_coord(toks[0], where) + _parse_coord(toks[1], where)
+        first = seen.setdefault(row, lineno)
         if first != lineno:
             duplicates.append(f"line {lineno} repeats line {first}")
     if duplicates:
         raise PointFileError("duplicate points: " + "; ".join(duplicates))
-    return PointSet(tuple(seen))
+    return PointSet._of_rows(seen, distinct=True)
 
 
-def format_coord(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def format_coord(v) -> str:
+    """A Fraction or int as point-file text: "p" or "p/q"."""
+    return _ratio_text(v.numerator, v.denominator)
 
 
 def format_points(P: PointSet) -> str:
-    return "".join(f"{format_coord(p.x)} {format_coord(p.y)}\n" for p in P)
+    return "".join([f"{_ratio_text(xn, xd)} {_ratio_text(yn, yd)}\n"
+                    for xn, xd, yn, yd in P.rows])

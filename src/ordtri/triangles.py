@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from math import comb
 
@@ -48,6 +47,8 @@ class Constants(namedtuple("Constants", "c c_prime")):
 
     @property
     def alpha(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(4, self.c + 1)
 
 

@@ -11,9 +11,9 @@ import pytest
 import ordtri
 
 HOMES = {
-    "geom": ["CanonicalLine", "DegeneratePairError", "Point", "incident", "intersect",
-             "line_through", "orientation", "point"],
-    "incidence": ["DegeneracyClass", "DegeneracyTag", "InvariantError", "LineCensus", "PointSet",
+    "geom": ["CanonicalLine", "DegeneratePairError", "Point", "PointSet", "incident",
+             "intersect", "line_through", "orientation", "point"],
+    "incidence": ["DegeneracyClass", "DegeneracyTag", "InvariantError", "LineCensus",
                   "SylvesterGallaiError", "UnderdeterminedError", "classify_degeneracy",
                   "find_ordinary_line", "line_census"],
     "triangles": ["DEFAULT_C_PRIME", "DEFAULT_CONSTANTS", "CaseTaken", "Constants",

@@ -3,7 +3,7 @@ import itertools
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from ordtri.generators import (
     gen_rich_line_plus,
     gen_two_line_union,
 )
-from ordtri.pointfile import parse_points
+from ordtri.pointfile import PointFileError, format_points, parse_points
 from reference import (
     _unscale,
     enumerate_lines,
@@ -521,3 +521,48 @@ class TestPointSet:
     def test_equal_rationals_are_duplicates(self):
         with pytest.raises(ValueError):
             PointSet.of([("1/2", 0), ("2/4", 0)])
+
+    # point-file tokens and the exact values they stand for: signed and
+    # zero-padded tokens, unreduced p/q, zero in three spellings, 71-bit
+    # integers and a 79-bit numerator over 2^80
+    TOKENS = ["3", "2/4", "-6/3", "0/5", "-00012/0008", "+0", "-0",
+              str(2 ** 70), str(-2 ** 70), f"{2 ** 79 - 1}/{2 ** 80}"]
+
+    def test_every_constructor_makes_the_same_rows(self):
+        pairs = [(self.TOKENS[i], self.TOKENS[i - 3]) for i in range(len(self.TOKENS))]
+        exact = [(Fraction(x), Fraction(y)) for x, y in pairs]
+        built = [parse_points(io.StringIO("".join(f"{x} {y}\n" for x, y in pairs))),
+                 # ints where the value is one: the row is made without a Fraction
+                 PointSet.of([tuple(v.numerator if v.denominator == 1 else v for v in xy)
+                              for xy in exact]),
+                 PointSet(tuple(point(*xy) for xy in exact))]
+        rows = tuple((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in exact)
+        # the Fraction walk PointSet made before it held rows
+        sx, sy = lcm(*(x.denominator for x, _ in exact)), lcm(*(y.denominator for _, y in exact))
+        scaled = [(int(x * sx), int(y * sy)) for x, y in exact]
+        homogeneous = [(int(x * w), int(y * w), w)
+                       for x, y in exact for w in [lcm(x.denominator, y.denominator)]]
+        text = "".join(f"{x} {y}\n" for x, y in exact)
+        first = built[0]
+        for P in built:
+            assert P == first and hash(P) == hash(first)
+            assert P.rows == rows and P.points == tuple(exact)
+            assert all(type(v) is Fraction for p in P.points for v in p)
+            assert P.scaled_ints == (scaled, sx, sy)
+            assert P.homogeneous == homogeneous
+            assert P.lifted == first.lifted
+            assert format_points(P) == text
+        assert parse_points(io.StringIO(text)) == first
+
+    def test_every_constructor_reports_a_duplicate_alike(self):
+        # (-6/3, 0/5) and (-2, -0) are one point
+        with pytest.raises(PointFileError) as info:
+            parse_points(io.StringIO("-6/3 0/5\n1 2\n-2 -0\n1 2 # again\n"))
+        assert str(info.value) == "duplicate points: line 3 repeats line 1; line 4 repeats line 2"
+        for make in (lambda: PointSet.of([("-6/3", "0/5"), (1, 2), (-2, 0)]),
+                     lambda: PointSet.of([(Fraction(-6, 3), 0), (1, 2), (-2, Fraction(0, 5))]),
+                     lambda: PointSet((point("-6/3", "0/5"), point(1, 2), point(-2, "-0")))):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == ("duplicate point at indices 0 and 2: "
+                                       "Point(x=Fraction(-2, 1), y=Fraction(0, 1))")
