@@ -12,6 +12,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, lcm
+from sys import int_info
+
+_DIGIT = int_info.bits_per_digit  # bits of one digit of an int
 
 
 class DegeneratePairError(ValueError):
@@ -177,6 +180,13 @@ class PointSet:
     def __getitem__(self, i) -> Point:
         return self.points[i]
 
+    def point_at(self, i: int) -> Point:
+        """Point i, made from its row without the points view."""
+        from fractions import Fraction
+
+        xn, xd, yn, yd = self.rows[i]
+        return Point(Fraction(xn, xd), Fraction(yn, yd))
+
     def __iter__(self):
         return iter(self.points)
 
@@ -202,20 +212,34 @@ class PointSet:
 
     @cached_property
     def lifted(self) -> tuple[list[tuple[int, int]], int]:
-        """The scaled points lifted to (X << S, Y), and the key of a level pair.
+        """The scaled points lifted to (X << S, Y), or sheared to
+        (((X - Xmin) << S) - L * (Y - Ymin), Y), and the key of a level pair,
+        L = (span(X) + 1) << S or, sheared, 2L: above every slope key.
 
         The slope key of the line from (X0, Y0) to (X, Y), Y != Y0, is the
-        lifted (X - X0) // (Y0 - Y), floor(2^S * t) of its slope t.  Distinct
-        slopes differ by at least 1 / span(Y)^2, and on rational input by
-        (sx/sy) / 2^(4B+2), B the largest bit length in homogeneous (slopes
-        in original coordinates have denominators below 2^(2B+1)); so the
-        smaller of S = 2 * bitlen(span(Y)) and 4B + 3 + bitlen(sy) -
-        bitlen(sx) keeps their keys apart.  A level pair (Y = Y0) takes the
-        key (span(X) + 1) << S, above every slope key."""
+        lifted (X - X0) // (Y0 - Y): floor(2^S * t) of its slope t, plus L
+        if sheared.  Distinct slopes differ by at least 1 / span(Y)^2, and on
+        rational input by (sx/sy) / 2^(4B+2), B the largest bit length in
+        homogeneous (slopes in original coordinates have denominators below
+        2^(2B+1)); so the smaller of S = 2 * bitlen(span(Y)) and
+        4B + 3 + bitlen(sy) - bitlen(sx) keeps their keys apart.  Sheared,
+        for Y < Y0 the dividend is ((X - X0) << S) + L * (Y0 - Y) >=
+        L - span(X) * 2^S = 2^S > 0, and keys lie in [2^S, 2L - 2^S]."""
         pts, sx, sy = self.scaled_ints
         xs, ys = zip(*pts)
-        shift = 2 * (max(ys) - min(ys)).bit_length()
+        x_min, y_min = min(xs), min(ys)
+        span_y = max(ys) - y_min
+        shift = 2 * span_y.bit_length()
         if sx * sy > 1:
             bits = max(v.bit_length() for triple in self.homogeneous for v in triple)
             shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
-        return [(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift
+        span_x = max(xs) - x_min
+        level = (span_x + 1) << shift
+        # A negative dividend costs floor division a fix-up of its truncated
+        # quotient.  Shear only where span(Y) fits in one digit: by a longer
+        # divisor a division costs in proportion to its quotient, which the
+        # shear grows to the bit length of L.  One-digit ints, where
+        # span(X) << S fits, already take the fast floor division.
+        if span_y >> _DIGIT or not (span_x << shift) >> _DIGIT:
+            return [(x << shift, y) for x, y in pts], level
+        return [(((x - x_min) << shift) - level * (y - y_min), y) for x, y in pts], 2 * level

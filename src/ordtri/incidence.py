@@ -4,11 +4,10 @@ ordinary-line finder.
 The census is the one pass over point pairs: it gives the multiplicity
 histogram and spectrum of the determined lines, and on request the graph
 of the pairs on rich lines or the line of most points, without keeping an
-object per line.  The pair loop runs over integer-scaled coordinates
-(clearing denominators per axis preserves collinearity), so the O(n^2)
-kernel is pure integer arithmetic even for rational inputs.  It keys each
-pair by one floor division, the exact slope key of its line
-(PointSet.lifted): no gcd and no tuple per pair.
+object per line.  Its O(n^2) kernel keys each pair of integer-scaled
+points (clearing denominators per axis preserves collinearity) by one
+floor division, the exact slope key of their line: no gcd, no tuple, and
+where the lift is sheared no negative dividend (PointSet.lifted).
 """
 from __future__ import annotations
 

@@ -222,7 +222,7 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         raise InvariantError(f"{len(survivors)} survivors, the guarantee is "
                              f"max({guarantee}, 1)")
     triangles = sorted(tuple(sorted((s, qi, ri))) for s in survivors)
-    witness = RichCaseWitness(rich_line=rich_line, q=P[qi], r=P[ri],
+    witness = RichCaseWitness(rich_line=rich_line, q=P.point_at(qi), r=P.point_at(ri),
                               excluded=frozenset(excluded),
                               survivors=frozenset(survivors),
                               guarantee=guarantee)

@@ -506,10 +506,13 @@ class TestExitPaths:
         # a census whose histogram disagrees with its H breaks the poor-graph
         # edge identity; slope keys that merge the mirror slopes t and -t
         # group points of two lines together, and the census checks every
-        # point of a rich group on the group's line
+        # point of a rich group on the group's line.  The keys are folded
+        # about the key of a vertical line (points 0 and 4): 0 on the grid,
+        # L on the grid stretched along x, whose lift is sheared
+        # (PointSet.lifted) so that every key is positive
         script = ("import ordtri.incidence\n"
-                  "from ordtri import (InvariantError, build_poor_graph, count_c_ordinary,\n"
-                  "                    gen_grid, line_census)\n"
+                  "from ordtri import (InvariantError, PointSet, build_poor_graph,\n"
+                  "                    count_c_ordinary, gen_grid, line_census)\n"
                   "assert False, 'asserts are on'\n"
                   "P = gen_grid(4)\n"
                   "skewed = line_census(P, rich_threshold=3)._replace(count_by_mult={2: 25, 3: 8})\n"
@@ -520,15 +523,19 @@ class TestExitPaths:
                   "        print('raised:', exc)\n"
                   "report(lambda: build_poor_graph(P, skewed, 3))\n"
                   "real = ordtri.incidence._slope_keys\n"
-                  "ordtri.incidence._slope_keys = lambda *args: [abs(key) for key in real(*args)]\n"
-                  "report(lambda: count_c_ordinary(P, 3))\n")
+                  "for Q in (P, PointSet.of([(x << 30, y) for x, _, y, _ in P.rows])):\n"
+                  "    lifted, _ = Q.lifted\n"
+                  "    vertical = real(*lifted[4], [lifted[0]])[0]\n"
+                  "    ordtri.incidence._slope_keys = lambda *args: [\n"
+                  "        vertical + abs(key - vertical) for key in real(*args)]\n"
+                  "    report(lambda: count_c_ordinary(Q, 3))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        first, second = proc.stdout.splitlines()
+        first, *folded = proc.stdout.splitlines()
         assert first.startswith("raised: poor-graph edge identity violated")
-        # points 13, 8 and 10 are (1, 3), (0, 2) and (2, 2)
-        assert second == "raised: point 10 is grouped on the line through points 13 and 8 but is off it"
+        # points 13, 8 and 10 are (1, 3), (0, 2) and (2, 2), x stretched or not
+        assert folded == ["raised: point 10 is grouped on the line through points 13 and 8 but is off it"] * 2
 
     def test_broken_pipe_exits_141_silently(self, tmp_path):
         path = tmp_path / "grid8.txt"

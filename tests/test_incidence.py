@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, lcm
@@ -87,6 +88,10 @@ ORDER_SETS = CENSUS_SETS + [
     # x and y denominators that differ
     PointSet.of([(Fraction(x, 3), Fraction(y, 5)) for x in range(4) for y in range(4)]
                 + [("1/7", "2/9"), ("-5/2", "1/5")]),
+    # a grid stretched along x, with negative coordinates, at -2**70: its
+    # lift is sheared (PointSet.lifted)
+    PointSet.of([(2 ** 31 * x - 2 ** 70, y - 3) for x in range(-2, 3) for y in range(5)]
+                + [(2 ** 30 - 2 ** 70, 7), (-2 ** 70 - 3, -9)]),
 ]
 CENSUS_ASKS = [{"rich_threshold": t} for t in (2, 3, 12000)] + [{"top": True}]
 
@@ -257,11 +262,48 @@ def line_partition(P, k):
     return sorted(by_key.values()), sorted(by_triple.values())
 
 
-def shift_of(P):
-    """The S of P.lifted, read off its level key (span(X) + 1) << S."""
+BITS_PER_DIGIT = sys.int_info.bits_per_digit
+
+
+def unsheared_lift(P):
+    """PointSet.lifted as it was before the shear: (X << S, Y) and the level
+    key (span(X) + 1) << S, S as its docstring sets it."""
+    pts, sx, sy = P.scaled_ints
+    xs, ys = zip(*pts)
+    shift = 2 * (max(ys) - min(ys)).bit_length()
+    if sx * sy > 1:
+        bits = max(v.bit_length() for triple in P.homogeneous for v in triple)
+        shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
+    return [(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift
+
+
+def lift_of(P):
+    """(S, sheared) of P.lifted.  S is read off the level key, L =
+    (span(X) + 1) << S unsheared and 2L sheared; the lift must be the one
+    that the gate picks (sheared iff span(Y) fits in one int digit and
+    span(X) << S does not), by its formula."""
     pts, _, _ = P.scaled_ints
-    span_x = max(x for x, _ in pts) - min(x for x, _ in pts)
-    return (P.lifted[1] // (span_x + 1)).bit_length() - 1
+    xs, ys = zip(*pts)
+    span_x, span_y = max(xs) - min(xs), max(ys) - min(ys)
+    lifted, level = P.lifted
+    top = (level // (span_x + 1)).bit_length() - 1
+    readings = []
+    for shift, sheared in ((top, False), (top - 1, True)):
+        L = (span_x + 1) << shift
+        if sheared:
+            lift = [(((x - min(xs)) << shift) - L * (y - min(ys)), y) for x, y in pts], 2 * L
+        else:
+            lift = [(x << shift, y) for x, y in pts], L
+        gate = span_y.bit_length() <= BITS_PER_DIGIT < (span_x << shift).bit_length()
+        if sheared == gate and (lifted, level) == lift:
+            readings.append((shift, sheared))
+    assert len(readings) == 1, readings
+    return readings[0]
+
+
+def shift_of(P):
+    """The S of P.lifted."""
+    return lift_of(P)[0]
 
 
 def farey_neighbours(span, offset=0):
@@ -322,21 +364,84 @@ class TestCensusOrder:
         assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
             == brute_force_census(P, rich_threshold=2)
 
-    @pytest.mark.parametrize("span", [2, 3, 7, 8, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 70 - 1, 2 ** 70])
+    @pytest.mark.parametrize("span", [2, 3, 7, 8, 1000, 2 ** 30 - 1, 2 ** 30, 2 ** 30 + 1,
+                                      2 ** 31 - 1, 2 ** 31, 2 ** 70 - 1, 2 ** 70])
     @pytest.mark.parametrize("offset", [0, -2 ** 70])
     def test_farey_neighbours_at_the_largest_span(self, span, offset):
         """Two slopes 1/(q*q') apart over the full span get distinct keys,
         and the census tells their lines apart.  S = 2 * bitlen(span(Y)), so
-        at span = 2^k - 1 the lifted slopes are 2^S / (q*q') > 1 apart, barely."""
+        at span = 2^k - 1 the lifted slopes are 2^S / (q*q') > 1 apart, barely.
+        With 30-bit int digits, the spans 2^30 - 1, 2^30 and 2^30 + 1 lie on
+        both sides of the shear's gate: only 2^30 - 1 fits in one digit, and
+        the smaller spans have one-digit dividends."""
         P = farey_neighbours(span, offset)
         (x0, y0), (x1, y1), (x2, y2) = [(p.x - offset, p.y - offset) for p in P[:3]]
         assert abs(x1 * (y0 - y2) - x2 * (y0 - y1)) == 1
-        assert shift_of(P) == 2 * span.bit_length()
+        shift, sheared = lift_of(P)
+        assert shift == 2 * span.bit_length()
+        if BITS_PER_DIGIT == 30:
+            assert sheared == (span == 2 ** 30 - 1)
         for k in range(len(P)):
             by_key, by_triple = line_partition(P, k)
             assert by_key == by_triple
         assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
             == brute_force_census(P, rich_threshold=2)
+
+    # integer sets whose lift is sheared: span(Y) below 2^29, span(X)
+    # above 2^30, negative coordinates and offsets of up to 2^70.  The
+    # affine images of small sets keep their many collinear triples
+    offsets = st.sampled_from([0, 2 ** 70, -2 ** 70]) | st.integers(-10 ** 9, 10 ** 9)
+    stretched = st.builds(
+        lambda pts, a, b, dx, dy: {(a * x + dx, b * y + dy) for x, y in pts},
+        st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=24),
+        st.integers(2 ** 30, 2 ** 50) | st.integers(-2 ** 50, -2 ** 30),
+        st.integers(1, 2 ** 24) | st.integers(-2 ** 24, -1), offsets, offsets)
+    scattered = st.builds(  # (2^41, 0) keeps span(X) above 2^40
+        lambda pts, dx, dy: {(x + dx, y + dy) for x, y in pts | {(2 ** 41, 0)}},
+        st.sets(st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 28, 2 ** 28)),
+                min_size=3, max_size=24),
+        offsets, offsets)
+
+    @given(stretched | scattered)
+    @settings(max_examples=200, deadline=None)
+    def test_sheared_keys(self, coords):
+        """Every dividend the census divides is positive, every key is the
+        unsheared key plus L, and the keys still partition the points by
+        their lines."""
+        P = PointSet.of(sorted(coords))
+        pts, _, _ = P.scaled_ints
+        if len({x for x, _ in pts}) == 1:  # span(X) = 0: one vertical line
+            return
+        assert lift_of(P)[1]
+        (lifted, level), (plain, plain_level) = P.lifted, unsheared_lift(P)
+        assert level == 2 * plain_level
+        order = sorted(range(len(P)), key=lambda k: (-lifted[k][1], lifted[k][0]))
+        assert order == sorted(range(len(P)), key=lambda k: (-plain[k][1], plain[k][0]))
+        for r, u in enumerate(order):
+            (x0, y0), below = lifted[u], [k for k in order[r + 1:] if pts[k][1] < pts[u][1]]
+            assert all(lifted[k][0] - x0 > 0 for k in below)
+            assert _slope_keys(x0, y0, [lifted[k] for k in below]) \
+                == [key + plain_level for key in _slope_keys(*plain[u], [plain[k] for k in below])]
+        for k in range(len(P)):
+            by_key, by_triple = line_partition(P, k)
+            assert by_key == by_triple
+        assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
+            == brute_force_census(P, rich_threshold=2)
+
+    @pytest.mark.parametrize("P", [
+        parse_points(io.StringIO((Path(__file__).parent / "data" / "projection.txt").read_text())),
+        # as the benchmark's bounds-projection input is made
+        gen_projection_augmented(gen_random(13, 10 ** 5, 7), CanonicalLine.of(1, -13577, 10 ** 9 + 7)),
+        # a sheared base: span(Y) = 3, span(X) = 2^40
+        gen_projection_augmented(PointSet.of([(0, 0), (2 ** 40, 1), (5, 3), (2 ** 39, 2)]),
+                                 CanonicalLine.of(1, -7, 3)),
+    ], ids=["golden-input", "bounds-projection", "sheared-base"])
+    def test_multi_digit_spans_are_not_sheared(self, P):
+        """The projection sets' scaled spans take many int digits, so their
+        lift is the one before the shear."""
+        pts, _, _ = P.scaled_ints
+        assert (max(y for _, y in pts) - min(y for _, y in pts)).bit_length() > BITS_PER_DIGIT
+        assert P.lifted == unsheared_lift(P)
 
     def test_rows_with_and_without_a_repeated_normal(self, monkeypatch):
         """A random set plus a 5-point line: the line's first three points

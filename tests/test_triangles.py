@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -187,15 +188,22 @@ class TestPoorGraph:
         # the listing's G and the count both come from the census's H, whose
         # build checks every point of a rich group on the group's line: a
         # slope key shared by the mirror slopes t and -t puts the points of
-        # two lines in one group, which the census refuses
-        P = gen_grid(6)
-        rep = find_c_ordinary(P, 3, mode="exhaustive")
-        assert rep.count == len(rep.triangles) == enumerate_all_c_ordinary(P, 3)[0]
+        # two lines in one group, which the census refuses.  The fault folds
+        # every key about the key of a vertical line (points 0 and 6): 0 on
+        # the 6x6 grid, and L on the grid stretched along x, whose lift is
+        # sheared (PointSet.lifted) so that every key is positive
         real = ordtri.incidence._slope_keys
-        monkeypatch.setattr(ordtri.incidence, "_slope_keys",
-                            lambda *args: [abs(key) for key in real(*args)])
-        with pytest.raises(InvariantError, match="is grouped on the line through"):
-            find_c_ordinary(P, 3, mode="exhaustive")
+        grid = gen_grid(6)
+        for P in (grid, PointSet.of([(x << 25, y) for x, _, y, _ in grid.rows])):
+            rep = find_c_ordinary(P, 3, mode="exhaustive")
+            assert rep.count == len(rep.triangles) == enumerate_all_c_ordinary(P, 3)[0]
+            lifted, _ = P.lifted
+            vertical = real(*lifted[6], [lifted[0]])[0]
+            monkeypatch.setattr(ordtri.incidence, "_slope_keys", lambda *args: [
+                vertical + abs(key - vertical) for key in real(*args)])
+            with pytest.raises(InvariantError, match="is grouped on the line through"):
+                find_c_ordinary(P, 3, mode="exhaustive")
+            monkeypatch.setattr(ordtri.incidence, "_slope_keys", real)
 
 
 def brute_poor_adjacency(P):
@@ -301,6 +309,15 @@ class TestRichCase:
     def test_census_without_top_rejected(self):
         with pytest.raises(RichCasePreconditionError):
             find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE), 10)
+
+    def test_witness_points_come_from_their_rows(self):
+        # q and r are made from their two rows: the n-point view of Fractions
+        # is never built
+        P = PointSet.of([(x, 0) for x in range(10)] + [(0, 1), (1, 2), (3, 7), (-4, 5)])
+        witness, _ = find_case_rich_line(P, line_census(P, top=True), 10)
+        assert "points" not in vars(P)
+        assert (witness.q, witness.r) == (point(0, 1), point(1, 2))
+        assert all(type(v) is Fraction for v in (*witness.q, *witness.r))
 
     def test_survivors_never_collinear_with_qr(self):
         witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
