@@ -7,12 +7,13 @@ Exit codes: 0 ok/found, 3 no triangle exists (find), 2 input error,
 141 stdout closed early (broken pipe, 128 + SIGPIPE).  An unwritable
 stderr does not change the exit code.
 
-A command imports only what it runs: bounds and generators are imported
-inside the one command that uses each, so the others do not pay for them
-at start-up.  A report is written in one call, and entry() exits without
-the interpreter's teardown once stdout and stderr are flushed, so atexit
-handlers do not run after it; main() returns its exit code as usual to
-in-process callers.
+A command imports only what it runs: the generate and verify-bounds
+handlers live in cli_gen_bounds, which main imports only for those two
+commands, and bounds and generators are imported inside the one command
+that uses each, so the others do not pay for them at start-up.  A report
+is written in one call, and entry() exits without the interpreter's
+teardown once stdout and stderr are flushed, so atexit handlers do not run
+after it; main() returns its exit code as usual to in-process callers.
 """
 from __future__ import annotations
 
@@ -24,22 +25,13 @@ import time
 from math import comb
 
 from . import triangles
-from .geom import CanonicalLine
 from .incidence import (
     InvariantError,
     PointSet,
     classify_degeneracy,
     line_census,
 )
-from .pointfile import (
-    _INTEGER,
-    PointFileError,
-    _parse_coord,
-    format_coord,
-    format_points,
-    parse_points,
-)
-from .triangles import Constants, exceeds_alpha_n
+from .pointfile import PointFileError, _ratio_text, parse_points
 
 REPORT_VERSION = "1"
 
@@ -60,21 +52,6 @@ def _degeneracy_json(cls) -> dict:
         "tag": cls.tag.value,
         "witness": [list(l.triple()) for l in cls.witness],
     }
-
-
-def _bound_json(r) -> dict:
-    out = {
-        "name": r.name,
-        "instance": r.instance,
-        "checked": format_coord(r.checked),
-        "threshold": format_coord(r.threshold),
-        "satisfied": r.satisfied,
-        "vacuous": r.vacuous,
-    }
-    if r.details:
-        out["details"] = {k: (v if isinstance(v, (int, bool)) else format_coord(v))
-                          for k, v in r.details.items()}
-    return out
 
 
 def _emit(report: dict, started: float) -> None:
@@ -98,64 +75,6 @@ def _write(text: str) -> None:
     data = memoryview(text.encode(sys.stdout.encoding))
     while data:
         data = data[out.write(data):]
-
-
-# --- generate ---------------------------------------------------------------
-
-def _parse_line_triple(text: str) -> CanonicalLine:
-    """An --line A,B,C triple, each an integer in the point-file grammar."""
-    toks = text.split(",")
-    if len(toks) != 3 or not all(map(_INTEGER.fullmatch, toks)):
-        raise PointFileError(f"bad line triple {text!r}: expected three integers A,B,C")
-    try:
-        return CanonicalLine.of(*map(int, toks))
-    except ValueError as exc:
-        raise ValueError(f"bad line triple {text!r}: {exc}") from exc
-
-
-def cmd_generate(args) -> int:
-    from . import generators
-
-    kind = args.kind
-    if kind == "grid":
-        P = generators.gen_grid(_require(args, "size"))
-    elif kind == "two-line":
-        P = generators.gen_two_line_union(_require(args, "n1"), _require(args, "n2"))
-    elif kind == "random":
-        P = generators.gen_random(_require(args, "n"), _require(args, "bound"),
-                                  args.seed if args.seed is not None else 0)
-    elif kind == "rich-line":
-        P = generators.gen_rich_line_plus(_require(args, "k"),
-                                          [_parse_extra(e) for e in args.extra or []])
-    elif kind == "projection":
-        if not args.input:
-            raise ValueError("--kind projection requires --input")
-        base = _read_points(args.input)
-        ell = _parse_line_triple(_require(args, "line"))
-        P = generators.gen_projection_augmented(base, ell)
-    elif kind == "cubic":
-        P = generators.gen_cubic_progression(_require(args, "m"))
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown kind {kind!r}")
-    _write(format_points(P))
-    return 0
-
-
-def _parse_extra(text: str) -> tuple[Fraction, Fraction]:
-    """An --extra X,Y point, each coordinate in the point-file grammar."""
-    from fractions import Fraction
-
-    where, toks = f"--extra {text!r}", text.split(",")
-    if len(toks) != 2:
-        raise PointFileError(f"{where}: expected 'X,Y'")
-    return Fraction(*_parse_coord(toks[0], where)), Fraction(*_parse_coord(toks[1], where))
-
-
-def _require(args, name):
-    v = getattr(args, name.replace("-", "_"), None)
-    if v is None:
-        raise ValueError(f"--kind {args.kind} requires --{name}")
-    return v
 
 
 # --- analyze ----------------------------------------------------------------
@@ -208,14 +127,18 @@ def cmd_find(args) -> int:
         "case_taken": rep.case_taken.value,
         "count": rep.count,
         "count_kind": "exact" if rep.count_is_exact else "lower_bound",
-        "triangles": [list(t) for t in rep.triangles],
+        "triangles": rep.triangles,  # json writes its tuples as arrays
     }
     witness = rep.rich_witness
     if witness is not None:
+        def coords(i: int) -> list[str]:  # point i's coordinates, from its row
+            xn, xd, yn, yd = P.rows[i]
+            return [_ratio_text(xn, xd), _ratio_text(yn, yd)]
+
         report["rich_case"] = {
             "rich_line": list(witness.rich_line.triple()),
-            "q": [format_coord(witness.q.x), format_coord(witness.q.y)],
-            "r": [format_coord(witness.r.x), format_coord(witness.r.y)],
+            "q": coords(witness.q),
+            "r": coords(witness.r),
             "excluded": sorted(witness.excluded),
             "survivors": sorted(witness.survivors),
             "guaranteed_minimum": witness.guarantee,
@@ -224,58 +147,16 @@ def cmd_find(args) -> int:
     return 0 if rep.count > 0 else 3
 
 
-# --- verify-bounds ----------------------------------------------------------
-
-def cmd_verify_bounds(args) -> int:
-    from fractions import Fraction
-
-    from . import bounds
-
-    started = time.perf_counter()
-    P = _read_points(args.input)
-    n = len(P)
-    if n < 2:
-        raise PointFileError("need at least 2 points to verify bounds")
-    constants = Constants(args.c, args.c_prime)
-    # every bound reads this one census: its lines are the determined lines,
-    # each holding exactly its multiplicity l of points
-    census = line_census(P, rich_threshold=args.c)
-    hist = census.count_by_mult
-    reports = bounds.check_st(n, census.spectrum_table(), args.c_prime)
-    reports.append(bounds.check_incidence_bound(
-        n, census.line_count, sum(l * k for l, k in hist.items())))
-    edges, t3 = triangles.poor_graph_size(P, args.c, census)
-    reports.append(bounds.check_eg(n, edges, t3, instance=f"poor graph n={n} c={args.c}"))
-    skipped = []
-    if exceeds_alpha_n(args.c, census.max_multiplicity, n):
-        skipped.append({"name": "medium-line pair sum",
-                        "reason": "skipped: rich line present (l_i > alpha*n)"})
-    else:
-        reports.extend(bounds.check_medium_sum(n, hist, constants))
-    reports.sort(key=lambda r: r.name)
-    all_ok = all(r.satisfied for r in reports)
-    report = {
-        "version": REPORT_VERSION,
-        "command": "verify-bounds",
-        "parameters": {"input": args.input, "c": args.c, "c_prime": args.c_prime},
-        "n": n,
-        "constants": {"c": constants.c, "c_prime": constants.c_prime,
-                      "alpha": format_coord(constants.alpha),
-                      "dyadic_sum_constants": {
-                          "below_sqrt_n": format_coord(Fraction(8 * args.c_prime * n * n,
-                                                                args.c + 1)),
-                          "above_sqrt_n": format_coord(Fraction(16 * args.c_prime * n * n,
-                                                                args.c + 1)),
-                      }},
-        "bounds": [_bound_json(r) for r in reports],
-        "skipped": skipped,
-        "all_satisfied": all_ok,
-    }
-    _emit(report, started)
-    return 0 if all_ok else 1
-
-
 # --- entry ------------------------------------------------------------------
+
+def _deferred(name: str):
+    """The handler name of cli_gen_bounds, imported when the command runs."""
+    def run(args) -> int:
+        from . import cli_gen_bounds
+
+        return getattr(cli_gen_bounds, name)(args)
+    return run
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ordtri",
@@ -297,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="cubic: parameter range [-m, m]")
     gen.add_argument("--input", help="projection: base point file")
     gen.add_argument("--line", metavar="A,B,C", help="projection: augmentation line a,b,c")
-    gen.set_defaults(func=cmd_generate)
+    gen.set_defaults(func=_deferred("cmd_generate"))
 
     ana = sub.add_parser("analyze", help="incidence structure report")
     ana.add_argument("input", help="point file path, or - for stdin")
@@ -318,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("input", help="point file path, or - for stdin")
     ver.add_argument("--c", type=int, default=triangles.DEFAULT_CONSTANTS.c)
     ver.add_argument("--c-prime", type=int, default=triangles.DEFAULT_C_PRIME)
-    ver.set_defaults(func=cmd_verify_bounds)
+    ver.set_defaults(func=_deferred("cmd_verify_bounds"))
     return ap
 
 

@@ -180,13 +180,6 @@ class PointSet:
     def __getitem__(self, i) -> Point:
         return self.points[i]
 
-    def point_at(self, i: int) -> Point:
-        """Point i, made from its row without the points view."""
-        from fractions import Fraction
-
-        xn, xd, yn, yd = self.rows[i]
-        return Point(Fraction(xn, xd), Fraction(yn, yd))
-
     def __iter__(self):
         return iter(self.points)
 

@@ -1,5 +1,4 @@
-"""The line census, degeneracy classification, and the Sylvester-Gallai
-ordinary-line finder.
+"""The line census and degeneracy classification.
 
 The census is the one pass over point pairs: it gives the multiplicity
 histogram and spectrum of the determined lines, and on request the graph
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Sequence
 from enum import Enum
 from math import comb, gcd
 
@@ -75,16 +73,6 @@ def _line_of(homogeneous, i: int, j: int) -> CanonicalLine:
     return CanonicalLine._make((a // g, b // g, c // g))  # canonical: skip the checks
 
 
-def _pencil(P: PointSet, k: int) -> tuple[list[int | None], dict[int, int]]:
-    """The lines through point k: the slope key toward every point (None at
-    k itself) and the multiplicity of each line, in O(n)."""
-    lifted, level = P.lifted
-    toward = _slope_keys(*lifted[k], lifted[:k] + lifted[k + 1:], level)
-    mult = {key: size + 1 for key, size in Counter(toward).items()}
-    toward.insert(k, None)
-    return toward, mult
-
-
 class DegeneracyTag(Enum):
     TOO_SMALL = "TooSmall"
     ALL_COLLINEAR = "AllCollinear"
@@ -131,38 +119,6 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
         if not off(second, rest[2:]):
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
-
-
-def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
-                       ) -> tuple[CanonicalLine, int, int]:
-    """An ordinary line of the points at indices (default: all of P), one
-    through exactly two of them (Sylvester-Gallai), with their P-indices.
-
-    The pair (i, j) is the lexicographically first with no third point on
-    its line.  Row i groups the later points by their slope key through i,
-    as the census does, and notes the points of each line holding two of
-    them; a lone point on a line no earlier row noted through i is
-    ordinary.  Ordinary lines are plentiful (Green and Tao 2013), so the
-    search typically stops in its first row; it never keys more pairs than
-    one census.
-    """
-    idx = sorted(range(len(P)) if indices is None else indices)
-    if len(idx) < 3:
-        raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: fewer than 3 points")
-    lifted, level = P.lifted
-    sub = [lifted[k] for k in idx]
-    (x0, y0), (x1, y1) = sub[0], sub[1]
-    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in sub[2:]):
-        raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
-    noted = set()  # (a, key): a lies on a noted line of that slope
-    for a in range(len(sub) - 1):
-        keys = _slope_keys(*sub[a], sub[a + 1:], level)
-        groups = Counter(keys)
-        for b, key in enumerate(keys, a + 1):
-            if groups[key] == 1 and (a, key) not in noted:
-                return _line_of(P.homogeneous, idx[a], idx[b]), idx[a], idx[b]
-        noted.update((b, key) for b, key in enumerate(keys, a + 1) if groups[key] > 1)
-    raise InvariantError("a non-collinear set without an ordinary line")
 
 
 # --- the line census ----------------------------------------------------------

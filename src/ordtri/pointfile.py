@@ -16,7 +16,6 @@ from math import gcd
 from .geom import PointSet
 
 _COORD = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # ASCII digits, q > 0, for fullmatch
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
 
 
 class PointFileError(ValueError):

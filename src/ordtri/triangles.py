@@ -4,7 +4,8 @@ A triple of points is c-ordinary when it is non-collinear and each of its
 three connecting lines carries at most c points of the set.  Equivalently:
 it is a non-collinear triangle of the "poor graph" G whose edges are the
 point pairs lying on lines with at most c points, which is what the fast
-paths exploit.
+paths exploit.  The rich-line case lives in richline, which fast mode
+alone imports.
 """
 from __future__ import annotations
 
@@ -18,16 +19,9 @@ from .incidence import (
     InvariantError,
     LineCensus,
     PointSet,
-    SylvesterGallaiError,
-    _pencil,
     classify_degeneracy,
-    find_ordinary_line,
     line_census,
 )
-
-
-class RichCasePreconditionError(RuntimeError):
-    """Rich-line path invoked on an instance that does not satisfy its gate."""
 
 
 class Constants(namedtuple("Constants", "c c_prime")):
@@ -90,14 +84,6 @@ class CaseTaken(Enum):
     RICH_LINE = "RichLine"
     POOR_GRAPH = "PoorGraph"
     DEGENERATE = "Degenerate"
-
-
-class RichCaseWitness(namedtuple("RichCaseWitness",
-                                  "rich_line q r excluded survivors guarantee")):
-    """The rich line, the ordinary pair (q, r) off it, the frozensets of
-    rich-line indices unusable as apex (excluded) and yielding triangles
-    (survivors), and the proven lower bound ceil(l/2) - 1 (guarantee)."""
-    __slots__ = ()
 
 
 class TriangleReport(namedtuple("TriangleReport",
@@ -173,60 +159,6 @@ def poor_graph_size(P: PointSet, c: int, census: LineCensus) -> tuple[int, int]:
     poor = [(l, k) for l, k in census.count_by_mult.items() if l <= c]
     return (sum(comb(l, 2) * k for l, k in poor),
             count_c_ordinary(P, c, census) + sum(comb(l, 3) * k for l, k in poor))
-
-
-def find_case_rich_line(P: PointSet, census: LineCensus, c: int
-                        ) -> tuple[RichCaseWitness, list[tuple[int, int, int]]]:
-    """Rich-line path on the census's top line: take the ordinary line (q, r)
-    of the points off the rich line through their first such index pair
-    (find_ordinary_line), exclude the rich-line points whose connection to
-    q or r is itself too rich, and pair every survivor with (q, r).  census
-    must come from line_census(P, top=True).
-
-    Emits at least max(ceil(l/2) - 1, 1) validated triangles, where l is the
-    rich line's multiplicity; the exclusion sets are each strictly below l/4.
-    """
-    n = len(P)
-    rich_line = census.top
-    if rich_line is None or census.n != n:
-        raise RichCasePreconditionError("census of P without its top line")
-    on_idx = census.members[rich_line]
-    l_i = len(on_idx)
-    if not exceeds_alpha_n(c, l_i, n):
-        raise RichCasePreconditionError(f"line multiplicity {l_i} not above alpha*n")
-    on_set = set(on_idx)
-    try:
-        _, qi, ri = find_ordinary_line(P, [i for i in range(n) if i not in on_set])
-    except SylvesterGallaiError as exc:
-        raise RichCasePreconditionError(f"remainder off the rich line: {exc}") from exc
-    toward_q, mult_q = _pencil(P, qi)
-    toward_r, mult_r = _pencil(P, ri)
-    # the ordinary line picks up at most the one point where it crosses the
-    # rich line, so its multiplicity in P is <= 3 and the qr side is safe
-    if mult_q[toward_q[ri]] > 3:
-        raise InvariantError("ordinary line of the remainder has extra points")
-    too_rich_q = {i for i in on_idx if mult_q[toward_q[i]] > c}
-    too_rich_r = {i for i in on_idx if mult_r[toward_r[i]] > c}
-    crossing = {i for i in on_idx if toward_q[i] == toward_q[ri]}
-    if len(crossing) > 1:
-        raise InvariantError("the ordinary line meets the rich line twice")
-    # exact counting inclusions behind the proof's lower bound
-    if not (4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i):
-        raise InvariantError("rich-line exclusions reach l/4")
-    excluded = too_rich_q | too_rich_r | crossing
-    survivors = [i for i in on_idx if i not in excluded]
-    guarantee = (l_i + 1) // 2 - 1
-    # at l_i = 2 the guarantee is 0, but no apex is too rich (4*|too_rich| < 2)
-    # and crossing holds at most one of the two: a survivor remains for every l_i
-    if len(survivors) < max(guarantee, 1):
-        raise InvariantError(f"{len(survivors)} survivors, the guarantee is "
-                             f"max({guarantee}, 1)")
-    triangles = sorted(tuple(sorted((s, qi, ri))) for s in survivors)
-    witness = RichCaseWitness(rich_line=rich_line, q=P.point_at(qi), r=P.point_at(ri),
-                              excluded=frozenset(excluded),
-                              survivors=frozenset(survivors),
-                              guarantee=guarantee)
-    return witness, triangles
 
 
 def count_c_ordinary(P: PointSet, c: int, census: LineCensus | None = None) -> int:
@@ -313,6 +245,8 @@ def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,
     # fast mode: the rich-line path on the census's top line, of maximum
     # multiplicity, with the first point in sweep order, if it exceeds alpha*n
     if mode == "fast":
+        from .richline import RichCasePreconditionError, find_case_rich_line
+
         try:
             witness, tris = find_case_rich_line(P, census, c)
         except RichCasePreconditionError:

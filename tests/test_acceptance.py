@@ -29,7 +29,8 @@ from ordtri.generators import (
     gen_two_line_union,
 )
 from ordtri.geom import CanonicalLine, line_through
-from ordtri.incidence import PointSet, find_ordinary_line, line_census
+from ordtri.incidence import PointSet, line_census
+from ordtri.richline import find_ordinary_line
 from ordtri.triangles import build_poor_graph, derive_constants, find_c_ordinary
 from reference import (
     PoorGraph,
@@ -231,8 +232,9 @@ def test_criterion_07_rich_case_guarantee():
         assert prof.max_multiplicity == l_max
         assert rep.count >= (l_max + 1) // 2 - 1
         on_idx = points_on_line(P, w.rich_line)
-        p_q = [i for i in on_idx if prof.entries[line_through(P[i], w.q)] > c]
-        p_r = [i for i in on_idx if prof.entries[line_through(P[i], w.r)] > c]
+        assert all(type(i) is int and 0 <= i < len(P) and i not in on_idx for i in (w.q, w.r))
+        p_q = [i for i in on_idx if prof.entries[line_through(P[i], P[w.q])] > c]
+        p_r = [i for i in on_idx if prof.entries[line_through(P[i], P[w.r])] > c]
         assert 4 * len(p_q) < l_max and 4 * len(p_r) < l_max
         for t in rep.triangles:
             assert validate_c_ordinary(P, prof, t, c)

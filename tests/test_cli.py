@@ -448,49 +448,65 @@ class TestStartup:
     # some hosts), which is the `python -c pass` baseline.  Default find on
     # the 3x3 grid takes the rich-line path and excludes the crossing point
     # of its ordinary line
-    def test_find_loads_no_unused_module(self, grid_file, tmp_path):
-        rich = write_points(tmp_path, gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)]))
+    EXACT = {"fractions", "decimal", "_decimal"}
+
+    def loaded_by(self, script, *argv):
+        """The exit codes printed by script, run as a child with the paths
+        argv, and the modules it loaded beyond the interpreter's baseline."""
         script = ("import sys\n"
                   "baseline = set(sys.modules)\n"
-                  "from ordtri import cli\n"
-                  "grid, rich = sys.argv[1:]\n"
-                  "codes = [cli.main(['find', grid, '--c', '3', '--mode', 'count']),\n"
-                  "         cli.main(['find', grid, '--c', '3', '--mode', 'fast']),\n"
-                  "         cli.main(['find', rich]),\n"
-                  "         cli.main(['find', grid])]\n"
+                  "from ordtri import cli\n" + script +
                   "print(*codes, file=sys.stderr)\n"
                   "print(*(set(sys.modules) - baseline), file=sys.stderr)\n")
-        proc = subprocess.run([sys.executable, "-c", script, grid_file, rich],
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env=_child_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         codes, loaded = proc.stderr.splitlines()
-        loaded = set(loaded.split())
-        assert codes == "0 0 0 0" and proc.stdout.count('"case_taken": "RichLine"') == 2
-        assert "ordtri.triangles" in loaded
-        unused = {"dataclasses", "inspect", "logging", "ordtri.bounds", "ordtri.generators"}
-        assert not unused & loaded
+        return codes, set(loaded.split()), proc.stdout
+
+    def test_find_loads_no_unused_module(self, grid_file, tmp_path):
+        # the rich-line witness names q and r by index and the report formats
+        # them from their rows, so fast find makes no Fraction, also on a
+        # rational input
+        rich = write_points(tmp_path, gen_rich_line_plus(10, [(0, 1), (1, 2), (3, 7)]))
+        rational = write_points(tmp_path, gen_rich_line_plus(
+            10, [("1/2", "1/3"), ("-7/4", "2/9"), (3, "5/7")]), "rational.txt")
+        codes, loaded, out = self.loaded_by(
+            "grid, rich, rational = sys.argv[1:]\n"
+            "codes = [cli.main(['find', grid, '--c', '3', '--mode', 'count']),\n"
+            "         cli.main(['find', grid, '--c', '3', '--mode', 'fast']),\n"
+            "         cli.main(['find', rich]),\n"
+            "         cli.main(['find', rational]),\n"
+            "         cli.main(['find', grid])]\n", grid_file, rich, rational)
+        assert codes == "0 0 0 0 0" and out.count('"case_taken": "RichLine"') == 3
+        assert '"q": [\n      "1/2",\n      "1/3"\n    ]' in out
+        assert {"ordtri.triangles", "ordtri.richline"} <= loaded
+        unused = {"dataclasses", "inspect", "logging", "ordtri.bounds", "ordtri.generators",
+                  "ordtri.cli_gen_bounds"}
+        assert not (unused | self.EXACT) & loaded
 
     def test_integer_commands_make_no_fraction(self, grid_file, tmp_path):
         # the points are read into integer rows, so count, exhaustive and
         # analyze never load fractions, nor decimal, which it imports; a
-        # rational input makes no Fraction either
+        # rational input makes no Fraction either.  Nor do they compile the
+        # rich-line case or the generate and verify-bounds handlers
         rational = tmp_path / "rational.txt"
         rational.write_text("0 0\n1/2 -6/3\n-00012/0008 +0\n7/3 5\n")
-        script = ("import sys\n"
-                  "baseline = set(sys.modules)\n"
-                  "from ordtri import cli\n"
-                  "codes = [cli.main(argv) for path in sys.argv[1:] for argv in (\n"
-                  "    ['find', path, '--c', '3', '--mode', 'count'],\n"
-                  "    ['find', path, '--c', '3', '--mode', 'exhaustive'],\n"
-                  "    ['analyze', path])]\n"
-                  "print(*codes, file=sys.stderr)\n"
-                  "print(*(set(sys.modules) - baseline), file=sys.stderr)\n")
-        proc = subprocess.run([sys.executable, "-c", script, grid_file, str(rational)],
-                              env=_child_env(), capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        codes, loaded = proc.stderr.splitlines()
-        assert codes == "0 0 0 0 0 0" and proc.stdout.count('"command": "analyze"') == 2
-        assert not {"fractions", "decimal", "_decimal"} & set(loaded.split())
+        codes, loaded, out = self.loaded_by(
+            "codes = [cli.main(argv) for path in sys.argv[1:] for argv in (\n"
+            "    ['find', path, '--c', '3', '--mode', 'count'],\n"
+            "    ['find', path, '--c', '3', '--mode', 'exhaustive'],\n"
+            "    ['analyze', path])]\n", grid_file, str(rational))
+        assert codes == "0 0 0 0 0 0" and out.count('"command": "analyze"') == 2
+        assert not (self.EXACT | {"ordtri.richline", "ordtri.cli_gen_bounds"}) & loaded
+
+    def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file):
+        codes, loaded, out = self.loaded_by(
+            "codes = [cli.main(['verify-bounds', sys.argv[1], '--c', '3']),\n"
+            "         cli.main(['generate', '--kind', 'grid', '--size', '3'])]\n", grid_file)
+        assert codes == "0 0" and out.count('"command": "verify-bounds"') == 1
+        assert {"ordtri.bounds", "ordtri.cli_gen_bounds", "ordtri.generators"} <= loaded
+        assert "ordtri.richline" not in loaded
 
 
 class TestExitPaths:

@@ -15,11 +15,12 @@ HOMES = {
              "intersect", "line_through", "orientation", "point"],
     "incidence": ["DegeneracyClass", "DegeneracyTag", "InvariantError", "LineCensus",
                   "SylvesterGallaiError", "UnderdeterminedError", "classify_degeneracy",
-                  "find_ordinary_line", "line_census"],
+                  "line_census"],
     "triangles": ["DEFAULT_C_PRIME", "DEFAULT_CONSTANTS", "CaseTaken", "Constants",
-                  "RichCasePreconditionError", "RichCaseWitness", "TriangleReport",
-                  "build_poor_graph", "count_c_ordinary", "derive_constants", "find_c_ordinary",
-                  "find_case_poor_graph", "find_case_rich_line", "poor_graph_size"],
+                  "TriangleReport", "build_poor_graph", "count_c_ordinary", "derive_constants",
+                  "find_c_ordinary", "find_case_poor_graph", "poor_graph_size"],
+    "richline": ["RichCasePreconditionError", "RichCaseWitness", "find_case_rich_line",
+                 "find_ordinary_line"],
     "bounds": ["BoundReport", "check_eg", "check_incidence_bound", "check_medium_sum",
                "check_st", "eg_lower_bound", "st_threshold"],
     "generators": ["RANDOM_SCHEME", "gen_cubic_progression", "gen_grid",

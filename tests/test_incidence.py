@@ -20,9 +20,9 @@ from ordtri.incidence import (
     _scaled_line_key,
     _slope_keys,
     classify_degeneracy,
-    find_ordinary_line,
     line_census,
 )
+from ordtri.richline import find_ordinary_line
 import ordtri.geom
 import ordtri.incidence
 from ordtri.generators import (

@@ -1,26 +1,25 @@
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import CanonicalLine, line_through, orientation, point
+from ordtri.geom import CanonicalLine, incident, line_through, orientation, point
 import ordtri.incidence
+import ordtri.richline
 import ordtri.triangles
 from ordtri.incidence import DegeneracyTag, InvariantError, PointSet, line_census
+from ordtri.richline import RichCasePreconditionError, find_case_rich_line
 from ordtri.triangles import (
     CaseTaken,
     Constants,
-    RichCasePreconditionError,
     build_poor_graph,
     count_c_ordinary,
     exceeds_alpha_n,
     find_c_ordinary,
     find_case_poor_graph,
-    find_case_rich_line,
     poor_graph_size,
 )
 from ordtri.generators import (
@@ -276,6 +275,15 @@ def profile_rich_case(P, c):
     return line, q, r, too_rich, too_rich | crossing
 
 
+def witness_points(P, witness):
+    """The points q and r of a rich-line witness, once its q and r are
+    checked to be int indices into P of two points off its rich line."""
+    for i in (witness.q, witness.r):
+        assert type(i) is int and 0 <= i < len(P)
+        assert not incident(witness.rich_line, P[i])
+    return P[witness.q], P[witness.r]
+
+
 class TestRichCase:
     def test_example_instance(self):
         prof = enumerate_lines(RICH_EXAMPLE)
@@ -311,24 +319,24 @@ class TestRichCase:
             find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE), 10)
 
     def test_witness_points_come_from_their_rows(self):
-        # q and r are made from their two rows: the n-point view of Fractions
-        # is never built
+        # q and r are P-indices, which the report formats from their rows:
+        # the n-point view of Fractions is never built
         P = PointSet.of([(x, 0) for x in range(10)] + [(0, 1), (1, 2), (3, 7), (-4, 5)])
         witness, _ = find_case_rich_line(P, line_census(P, top=True), 10)
         assert "points" not in vars(P)
-        assert (witness.q, witness.r) == (point(0, 1), point(1, 2))
-        assert all(type(v) is Fraction for v in (*witness.q, *witness.r))
+        assert (witness.q, witness.r) == (10, 11)
+        assert witness_points(P, witness) == (point(0, 1), point(1, 2))
 
     def test_survivors_never_collinear_with_qr(self):
         witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
         for s in witness.survivors:
-            assert orientation(RICH_EXAMPLE[s], witness.q, witness.r) != 0
+            assert orientation(RICH_EXAMPLE[s], *witness_points(RICH_EXAMPLE, witness)) != 0
 
     def test_apex_on_too_rich_line_excluded(self):
         # x = 0 holds (0, 0) and seven extras: 8 points > c = 7 through q = (0, 1)
         P = gen_rich_line_plus(9, [(0, j) for j in range(1, 8)] + [(1, 1)])
         witness, tris = find_case_rich_line(P, line_census(P, top=True), 7)
-        assert (witness.q, witness.r) == (point(0, 1), point(1, 1))
+        assert witness_points(P, witness) == (point(0, 1), point(1, 1))
         assert witness.excluded == {0} and 0 not in witness.survivors
         assert len(tris) == 8
 
@@ -347,10 +355,10 @@ class TestRichCase:
         census = line_census(P, top=True)
         if members is not None:
             census = census._replace(members={census.top: members})
-        monkeypatch.setattr(ordtri.triangles, "find_ordinary_line",
+        monkeypatch.setattr(ordtri.richline, "find_ordinary_line",
                             lambda P, indices: (None, qi, ri))
         if message == "twice":
-            monkeypatch.setattr(ordtri.triangles, "_pencil", lambda P, k: (
+            monkeypatch.setattr(ordtri.richline, "_pencil", lambda P, k: (
                 [None if i == k else 0 for i in range(len(P))], {0: 2}))
         with pytest.raises(InvariantError, match=message):
             find_case_rich_line(P, census, c)
@@ -372,7 +380,7 @@ class TestRichCase:
             except RichCasePreconditionError:
                 continue
             line, q, r, too_rich, excluded = profile_rich_case(P, c)
-            assert (witness.rich_line, witness.q, witness.r) == (line, q, r)
+            assert (witness.rich_line, *witness_points(P, witness)) == (line, q, r)
             assert witness.excluded == excluded
             checked += 1
             with_too_rich += bool(too_rich)
