@@ -14,7 +14,7 @@ import time
 from . import incidence, pointfile, triangles
 from .cli import REPORT_VERSION, _emit, _read_points, _write
 from .geom import CanonicalLine
-from .pointfile import PointFileError, _parse_coord
+from .pointfile import PointFileError, _parse_coord, _ratio_text
 from .triangles import Constants
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
@@ -80,8 +80,12 @@ def _require(args, name):
 
 # --- verify-bounds ----------------------------------------------------------
 
+def format_coord(v) -> str:
+    """A Fraction or int as point-file text: "p" or "p/q"."""
+    return _ratio_text(v.numerator, v.denominator)
+
+
 def _bound_json(r) -> dict:
-    format_coord = pointfile.format_coord
     out = {
         "name": r.name,
         "instance": r.instance,
@@ -101,7 +105,6 @@ def cmd_verify_bounds(args) -> int:
 
     from . import bounds
 
-    format_coord = pointfile.format_coord
     started = time.perf_counter()
     P = _read_points(args.input)
     n = len(P)

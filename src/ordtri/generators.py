@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from functools import cmp_to_key
 from itertools import combinations
+from math import gcd
 
-from .geom import CanonicalLine, Point, PointSet, _row, intersect, orientation, point
+from .geom import CanonicalLine, Point, PointSet, orientation, point
 from .incidence import _line_of
 
 
@@ -28,7 +30,8 @@ def gen_two_line_union(n1: int, n2: int) -> PointSet:
 
 
 def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
-    """P1 plus, for each line determined by P1, its intersection with ell.
+    """P1 plus, for each line determined by P1, its intersection with ell,
+    ordered by x, then y.
 
     All added points are collinear on ell, and every determined line of P1
     picks one up, which eliminates 2-ordinary triangles.  ell must be generic:
@@ -42,15 +45,24 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
     lines = {_line_of(P1.homogeneous, i, j) for i, j in combinations(range(len(P1)), 2)}
     if len(lines) < 2:
         raise ValueError("base set is collinear")
-    added: set[Point] = set()
-    for l1 in lines:
+    added = set()  # the meets as reduced rows
+    for a1, b1, c1 in lines:
         # no determined line is ell itself: it would hold two base points
-        u = intersect(ell, l1)
-        if u is None:
+        d = a * b1 - a1 * b
+        if d == 0:
             raise ValueError("augmentation line not generic: parallel to a determined line")
-        added.add(u)
+        x, y = b * c1 - b1 * c, a1 * c - a * c1
+        if d < 0:
+            x, y, d = -x, -y, -d
+        gx, gy = gcd(x, d), gcd(y, d)
+        added.add((x // gx, d // gx, y // gy, d // gy))
+
+    def order(r, s):  # by x, then y: denominators are > 0
+        return r[0] * s[1] - s[0] * r[1] or r[2] * s[3] - s[2] * r[3]
+
     # the added points lie on ell and the base points off it: all distinct
-    return PointSet._of_rows(P1.rows + tuple(map(_row, sorted(added))), distinct=True)
+    return PointSet._of_rows(P1.rows + tuple(sorted(added, key=cmp_to_key(order))),
+                             distinct=True)
 
 
 def gen_rich_line_plus(k: int, extras: Iterable) -> PointSet:

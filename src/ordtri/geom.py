@@ -54,18 +54,18 @@ class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
     @classmethod
     def of(cls, a, b, c) -> "CanonicalLine":
         """Normalize an arbitrary rational/integer triple into canonical form."""
-        from fractions import Fraction
+        if not type(a) is type(b) is type(c) is int:
+            from fractions import Fraction
 
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        scale = lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-        if ai == 0 and bi == 0:
+            a, b, c = Fraction(a), Fraction(b), Fraction(c)
+            scale = lcm(a.denominator, b.denominator, c.denominator)
+            a, b, c = int(a * scale), int(b * scale), int(c * scale)
+        if a == 0 and b == 0:
             raise ValueError("not a line: a = b = 0")
-        g = gcd(ai, bi, ci)
-        ai, bi, ci = ai // g, bi // g, ci // g
-        if ai < 0 or (ai == 0 and bi < 0):
-            ai, bi, ci = -ai, -bi, -ci
-        return cls(ai, bi, ci)
+        g = gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        return cls(a // g, b // g, c // g)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -228,11 +228,11 @@ class PointSet:
             shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
         span_x = max(xs) - x_min
         level = (span_x + 1) << shift
-        # A negative dividend costs floor division a fix-up of its truncated
-        # quotient.  Shear only where span(Y) fits in one digit: by a longer
-        # divisor a division costs in proportion to its quotient, which the
-        # shear grows to the bit length of L.  One-digit ints, where
-        # span(X) << S fits, already take the fast floor division.
+        # The shear spares floor division the fix-up of a negative dividend.
+        # Shear only where span(Y) fits in one digit: by a longer divisor a
+        # division costs in proportion to its quotient, which the shear grows
+        # to the bit length of L.  One-digit ints, where span(X) << S fits,
+        # already divide fast.
         if span_y >> _DIGIT or not (span_x << shift) >> _DIGIT:
             return [(x << shift, y) for x, y in pts], level
         return [(((x - x_min) << shift) - level * (y - y_min), y) for x, y in pts], 2 * level

@@ -1,12 +1,10 @@
 """The line census and degeneracy classification.
 
 The census is the one pass over point pairs: it gives the multiplicity
-histogram and spectrum of the determined lines, and on request the graph
-of the pairs on rich lines or the line of most points, without keeping an
-object per line.  Its O(n^2) kernel keys each pair of integer-scaled
-points (clearing denominators per axis preserves collinearity) by one
-floor division, the exact slope key of their line: no gcd, no tuple, and
-where the lift is sheared no negative dividend (PointSet.lifted).
+histogram of the determined lines, and on request the graph of the pairs
+on rich lines or the line of most points, without keeping an object per
+line.  Its O(n^2) kernel keys each pair by one floor division, the exact
+slope key of its line (PointSet.lifted).
 """
 from __future__ import annotations
 
@@ -100,7 +98,7 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
     homogeneous = P.homogeneous
 
     def off(line: CanonicalLine, indices) -> list[int]:
-        a, b, c = line.triple()
+        a, b, c = line
         return [i for i in indices
                 if a * homogeneous[i][0] + b * homogeneous[i][1] + c * homogeneous[i][2]]
 

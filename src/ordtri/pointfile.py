@@ -24,8 +24,7 @@ class PointFileError(ValueError):
 
 def _parse_coord(tok: str, where: str) -> tuple[int, int]:
     """One coordinate token as its reduced (numerator, denominator > 0);
-    where locates it in the error message.  The integers come from the
-    parts the grammar matched, with one gcd for a p/q token."""
+    where locates it in the error message."""
     m = _COORD.fullmatch(tok)
     if m is None:
         raise PointFileError(
@@ -60,11 +59,6 @@ def parse_points(stream: Iterable[str]) -> PointSet:
 
 def _ratio_text(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def format_coord(v) -> str:
-    """A Fraction or int as point-file text: "p" or "p/q"."""
-    return _ratio_text(v.numerator, v.denominator)
 
 
 def format_points(P: PointSet) -> str:

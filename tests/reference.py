@@ -14,16 +14,19 @@ tests check it against:
 - ``PoorGraph`` holds a graph as sorted adjacency tuples, and
   ``count_triangles`` counts its triangles;
 - ``count_incidences`` tests every point against every given line, where
-  the package sums the census histogram.
+  the package sums the census histogram;
+- ``gen_projection_augmented`` makes the projection set from ``Point``s of
+  ``Fraction``s, where the package makes and orders integer rows.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Optional
 
-from ordtri.geom import CanonicalLine, Point, incident, line_through, orientation
+from ordtri.geom import CanonicalLine, Point, incident, intersect, line_through, orientation
 from ordtri.incidence import (
     InvariantError,
     PointSet,
@@ -244,3 +247,23 @@ def count_triangles(g: PoorGraph) -> int:
     """Exact triangle count of a simple undirected graph."""
     return _count_forward_triangles([sum(1 << v for v in a if v > u)
                                      for u, a in enumerate(g.adj)])
+
+
+# --- the projection generator by Fractions -----------------------------------
+
+def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
+    """P1, then the meets of ell with the lines through two points of P1,
+    as sorted Points of Fractions; the package's errors, in its order."""
+    for i, p in enumerate(P1):
+        if incident(ell, p):
+            raise ValueError(f"point {i} of the base set lies on the augmentation line")
+    lines = {line_through(p, q) for p, q in combinations(P1, 2)}
+    if len(lines) < 2:
+        raise ValueError("base set is collinear")
+    added = set()
+    for line in lines:
+        u = intersect(ell, line)
+        if u is None:
+            raise ValueError("augmentation line not generic: parallel to a determined line")
+        added.add(u)
+    return PointSet(tuple(P1) + tuple(sorted(added)))

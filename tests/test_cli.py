@@ -500,6 +500,21 @@ class TestStartup:
         assert codes == "0 0 0 0 0 0" and out.count('"command": "analyze"') == 2
         assert not (self.EXACT | {"ordtri.richline", "ordtri.cli_gen_bounds"}) & loaded
 
+    def test_generate_projection_makes_no_fraction(self, tmp_path):
+        # the --line triple is reduced in ints, and each meet is made as its
+        # reduced integer row and ordered by integer products, on an integer
+        # base and on a rational one
+        integer = write_points(tmp_path, gen_random(12, 10 ** 5, 3))
+        rational = tmp_path / "rational.txt"
+        rational.write_text("0 0\n1/2 1/3\n2 5/7\n-1 3\n7/4 -2/9\n3 1\n")
+        codes, loaded, out = self.loaded_by(
+            "codes = [cli.main(['generate', '--kind', 'projection', '--input', path,\n"
+            "                   '--line=' + line])\n"
+            "         for path, line in zip(sys.argv[1::2], sys.argv[2::2])]\n",
+            integer, "-2,27154,-2000000014", str(rational), "3,-2,1")
+        assert codes == "0 0" and len(out.splitlines()) == (12 + 66) + (6 + 15)
+        assert "ordtri.generators" in loaded and not self.EXACT & loaded
+
     def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file):
         codes, loaded, out = self.loaded_by(
             "codes = [cli.main(['verify-bounds', sys.argv[1], '--c', '3']),\n"

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordtri.geom import CanonicalLine, incident, intersect, orientation, point
 from ordtri.incidence import DegeneracyTag, PointSet, classify_degeneracy, line_census
@@ -13,6 +15,7 @@ from ordtri.generators import (
     gen_rich_line_plus,
     gen_two_line_union,
 )
+import reference
 from reference import enumerate_lines
 
 
@@ -47,11 +50,31 @@ class TestTwoLineUnion:
             gen_two_line_union(3, 0)
 
 
-class TestProjectionAugmented:
-    TRIANGLE = gen_grid(2)  # actually use an explicit triangle below
+def _outcome(gen, base, ell):
+    """The rows gen makes, or the text of the ValueError it raises."""
+    try:
+        return gen(base, ell).rows
+    except ValueError as exc:
+        return str(exc)
 
+
+# bases of integer and of rational points, and lines that are general,
+# vertical (b = 0: every added x ties, so y decides the order) or horizontal
+integer_bases = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                         min_size=1, max_size=7, unique=True)
+ratios = st.fractions(-6, 6, max_denominator=4)
+rational_bases = st.lists(st.tuples(ratios, ratios), min_size=1, max_size=7, unique=True)
+line_coef = st.integers(-4, 4)
+offsets = st.integers(-40, 40)
+lines = st.one_of(
+    st.tuples(line_coef, line_coef, offsets).filter(lambda t: t[0] or t[1]),
+    st.tuples(line_coef.filter(bool), st.just(0), offsets),
+    st.tuples(st.just(0), line_coef.filter(bool), offsets),
+)
+
+
+class TestProjectionAugmented:
     def test_unit_triangle_example(self):
-        from ordtri.incidence import PointSet
         tri = PointSet.of([(0, 0), (1, 0), (0, 1)])
         ell = CanonicalLine.of(1, -1, 5)  # y = x + 5
         P = gen_projection_augmented(tri, ell)
@@ -61,7 +84,6 @@ class TestProjectionAugmented:
         assert all(incident(ell, p) for p in added)
 
     def test_added_points_cover_every_base_line(self):
-        from ordtri.incidence import PointSet
         base = PointSet.of([(0, 0), (3, 1), (1, 4), (5, 5)])
         # slope 1/2 avoids all six base slopes (1/3, 4, 1, -3/2, 2, 1/4)
         ell = CanonicalLine.of(1, -2, 1000)
@@ -83,23 +105,45 @@ class TestProjectionAugmented:
         added = sorted({intersect(ell, l) for l in enumerate_lines(base).entries})
         assert gen_projection_augmented(base, ell) == PointSet(tuple(base) + tuple(added))
 
+    @pytest.mark.parametrize("coords, triple, order", [
+        ([(0, 0), (1, 3), (2, 1), ("7/2", "-1/3")], (2, 0, -9), "y"),  # x = 9/2
+        ([(0, 0), (1, 3), (2, 1), ("7/2", "-1/3")], (0, 3, 4), "x"),  # y = -4/3
+    ], ids=["vertical", "horizontal"])
+    def test_axis_parallel_line(self, coords, triple, order):
+        # on a vertical ell every added x ties and y alone orders the rows
+        base, ell = PointSet.of(coords), CanonicalLine.of(*triple)
+        P = gen_projection_augmented(base, ell)
+        assert P.rows == reference.gen_projection_augmented(base, ell).rows
+        added = P.points[len(base):]
+        assert len(added) == 6 and all(incident(ell, p) for p in added)
+        key = (lambda p: p.y) if order == "y" else (lambda p: p.x)
+        assert [key(p) for p in added] == sorted(set(map(key, added)))
+
+    @given(st.one_of(integer_bases, rational_bases), lines)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_reference(self, coords, triple):
+        # the same rows in the same order, or the same error
+        base, ell = PointSet.of(coords), CanonicalLine.of(*triple)
+        assert _outcome(gen_projection_augmented, base, ell) == \
+            _outcome(reference.gen_projection_augmented, base, ell)
+
+    def assert_rejected(self, coords, triple, message):
+        # the same ValueError text as the Fraction reference
+        base, ell = PointSet.of(coords), CanonicalLine.of(*triple)
+        assert _outcome(gen_projection_augmented, base, ell) == message
+        assert _outcome(reference.gen_projection_augmented, base, ell) == message
+
     def test_parallel_line_rejected(self):
-        from ordtri.incidence import PointSet
-        tri = PointSet.of([(0, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            gen_projection_augmented(tri, CanonicalLine.of(0, 1, -7))  # parallel to y=0
+        self.assert_rejected([(0, 0), (1, 0), ("1/2", "1/3")], (0, 1, -7),  # parallel to y=0
+                             "augmentation line not generic: parallel to a determined line")
 
     def test_point_on_line_rejected(self):
-        from ordtri.incidence import PointSet
-        tri = PointSet.of([(0, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            gen_projection_augmented(tri, CanonicalLine.of(1, 1, 0))  # through (0,0)
+        self.assert_rejected([(0, 0), (1, 0), (0, 1)], (1, 1, 0),  # through (0,0)
+                             "point 0 of the base set lies on the augmentation line")
 
     def test_collinear_base_rejected(self):
-        from ordtri.incidence import PointSet
-        base = PointSet.of([(0, 0), (1, 1), (2, 2)])
-        with pytest.raises(ValueError):
-            gen_projection_augmented(base, CanonicalLine.of(1, 0, 9))
+        for triple in ((1, 0, 9), (1, -1, 9)):  # ell crosses the base line, or is parallel
+            self.assert_rejected([(0, 0), (1, 1), (2, 2)], triple, "base set is collinear")
 
 
 class TestRichLinePlus:

@@ -99,6 +99,39 @@ class TestCanonicalLine:
         assert CanonicalLine.of(0, -3, 9) == CanonicalLine(0, 1, -3)
         assert CanonicalLine.of(Fraction(1, 2), Fraction(3, 4), 0) == CanonicalLine(2, 3, 0)
 
+    @given(st.integers(-40, 40) | st.integers(), st.integers(-40, 40),
+           st.integers(-40, 40) | st.integers())
+    def test_int_triple_matches_the_fraction_path(self, a, b, c):
+        # a triple of ints is reduced by gcd and sign alone; the same values
+        # as Fractions take the Fraction path: the same line or the same error
+        def of(*triple):
+            try:
+                return CanonicalLine.of(*triple)
+            except ValueError as exc:
+                return str(exc)
+
+        line = of(a, b, c)
+        assert line == of(Fraction(a), Fraction(b), Fraction(c)) == of(a, Fraction(b), c)
+        if a == b == 0:
+            assert line == "not a line: a = b = 0"
+        else:
+            assert all(type(v) is int for v in line)
+
+    def test_int_normalization(self):
+        assert CanonicalLine.of(6, -9, 12) == CanonicalLine(2, -3, 4)  # the gcd
+        assert CanonicalLine.of(-6, 9, -12) == CanonicalLine(2, -3, 4)  # the sign of a
+        assert CanonicalLine.of(0, -4, 6) == CanonicalLine(0, 2, -3)  # a = 0: the sign of b
+        assert CanonicalLine.of(0, 5, 0) == CanonicalLine(0, 1, 0)
+        with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
+            CanonicalLine.of(0, 0, 5)
+
+    def test_other_inputs_still_accepted(self):
+        assert CanonicalLine.of(True, False, -3) == CanonicalLine(1, 0, -3)
+        assert CanonicalLine.of("1/2", "-3/4", 1) == CanonicalLine(2, -3, 4)
+        assert CanonicalLine.of(Fraction(-1, 3), 2, "0") == CanonicalLine(1, -6, 0)
+        with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
+            CanonicalLine.of(False, Fraction(0), 1)
+
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
     def test_idempotent(self, a, b, c):
         if a == 0 and b == 0:
