@@ -5,8 +5,7 @@ modules it runs.
 """
 
 _EXPORTS = {
-    "geom": "CanonicalLine DegeneratePairError Point PointSet incident intersect "
-            "line_through orientation point",
+    "geom": "CanonicalLine Point PointSet",
     "incidence": "DegeneracyClass DegeneracyTag InvariantError LineCensus "
                  "SylvesterGallaiError UnderdeterminedError classify_degeneracy line_census",
     "triangles": "DEFAULT_C_PRIME DEFAULT_CONSTANTS CaseTaken Constants TriangleReport "

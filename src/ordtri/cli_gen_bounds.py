@@ -61,14 +61,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_extra(text: str) -> tuple[Fraction, Fraction]:
-    """An --extra X,Y point, each coordinate in the point-file grammar."""
-    from fractions import Fraction
-
+def _parse_extra(text: str) -> tuple[str, str]:
+    """An --extra X,Y point's two tokens, checked in the point-file grammar."""
     where, toks = f"--extra {text!r}", text.split(",")
     if len(toks) != 2:
         raise PointFileError(f"{where}: expected 'X,Y'")
-    return Fraction(*_parse_coord(toks[0], where)), Fraction(*_parse_coord(toks[1], where))
+    for tok in toks:
+        _parse_coord(tok, where)
+    return toks[0], toks[1]
 
 
 def _require(args, name):

@@ -10,8 +10,9 @@ from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
-from .geom import CanonicalLine, Point, PointSet, orientation, point
-from .incidence import _line_of
+from .geom import CanonicalLine, PointSet, _coord
+from .incidence import DegeneracyTag, _line_of, classify_degeneracy
+from .pointfile import _ratio_text
 
 
 def gen_grid(g: int) -> PointSet:
@@ -73,17 +74,17 @@ def gen_rich_line_plus(k: int, extras: Iterable) -> PointSet:
     """
     if k < 2:
         raise ValueError("rich-line base needs k >= 2")
-    extra_pts = [p if isinstance(p, Point) else point(*p) for p in extras]
-    for p in extra_pts:
-        if p.y == 0:
-            raise ValueError(f"extra point {p!r} lies on the x-axis")
-    if len(set(extra_pts)) != len(extra_pts):
+    rows = [_coord(x) + _coord(y) for x, y in extras]
+    for xn, xd, yn, _ in rows:
+        if yn == 0:
+            raise ValueError(f"extra point ({_ratio_text(xn, xd)}, 0) lies on the x-axis")
+    if len(set(rows)) != len(rows):
         raise ValueError("duplicate extra point")
-    if len(extra_pts) >= 3:
-        a, b = extra_pts[0], extra_pts[1]
-        if all(orientation(a, b, p) == 0 for p in extra_pts[2:]):
-            raise ValueError("extra points are all collinear")
-    return PointSet.of([(i, 0) for i in range(k)] + extra_pts)
+    extra = PointSet._of_rows(rows, distinct=True)
+    if classify_degeneracy(extra).tag is DegeneracyTag.ALL_COLLINEAR:
+        raise ValueError("extra points are all collinear")
+    # the extras are distinct and off the axis
+    return PointSet._of_rows([(i, 1, 0, 1) for i in range(k)] + rows, distinct=True)
 
 
 #: Generator identity for reports: bump when the sampling scheme changes.

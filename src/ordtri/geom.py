@@ -1,10 +1,8 @@
-"""Exact planar primitives: rational points, point sets held as integer rows,
-canonical integer lines, predicates.
-
-Everything here is error-free integer/rational arithmetic.  Collinearity under
-floating point is unsound, so no float ever enters a predicate.  fractions is
-imported only where a Fraction is made, so a command that reads, counts and
-writes integer rows never loads it (nor decimal, which it imports).
+"""Exact planar primitives: point sets held as integer rows and canonical
+integer lines.  No float enters them: collinearity under floating point is
+unsound.  Point, PointSet(points) and the points view, Points of Fractions,
+remain for callers that build sets from them.  Only the points view imports
+Fraction, so no command but verify-bounds loads it, nor decimal and numbers.
 """
 from __future__ import annotations
 
@@ -17,19 +15,8 @@ from sys import int_info
 _DIGIT = int_info.bits_per_digit  # bits of one digit of an int
 
 
-class DegeneratePairError(ValueError):
-    """Line requested through two coincident points."""
-
-
 class Point(namedtuple("Point", "x y")):
     __slots__ = ()
-
-
-def point(x, y) -> Point:
-    """Build a Point from anything Fraction accepts (int, Fraction, 'p/q' string)."""
-    from fractions import Fraction
-
-    return Point(Fraction(x), Fraction(y))
 
 
 class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
@@ -52,17 +39,9 @@ class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
         return super().__new__(cls, a, b, c)
 
     @classmethod
-    def of(cls, a, b, c) -> "CanonicalLine":
-        """Normalize an arbitrary rational/integer triple into canonical form."""
-        if not type(a) is type(b) is type(c) is int:
-            from fractions import Fraction
-
-            a, b, c = Fraction(a), Fraction(b), Fraction(c)
-            scale = lcm(a.denominator, b.denominator, c.denominator)
-            a, b, c = int(a * scale), int(b * scale), int(c * scale)
-        if a == 0 and b == 0:
-            raise ValueError("not a line: a = b = 0")
-        g = gcd(a, b, c)
+    def of(cls, a: int, b: int, c: int) -> "CanonicalLine":
+        """Normalize an integer triple into canonical form."""
+        g = gcd(a, b, c) or 1  # 0 only if a = b = c = 0, which __new__ refuses
         if a < 0 or (a == 0 and b < 0):
             g = -g
         return cls(a // g, b // g, c // g)
@@ -71,51 +50,23 @@ class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
         return (self.a, self.b, self.c)
 
 
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of the determinant of (q-p, r-p): +1 ccw, -1 cw, 0 collinear.
-
-    Coincident points count as collinear.  Exact, no rounding.
-    """
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
-
-
-def line_through(p: Point, q: Point) -> CanonicalLine:
-    """The unique canonical line incident to both p and q.  Symmetric in p, q."""
-    if p == q:
-        raise DegeneratePairError(f"degenerate pair: {p!r} given twice")
-    # a*x + b*y + c = 0 with (a, b) normal to q - p
-    a = p.y - q.y
-    b = q.x - p.x
-    c = p.x * q.y - q.x * p.y
-    return CanonicalLine.of(a, b, c)
-
-
-def incident(l: CanonicalLine, p: Point) -> bool:
-    return l.a * p.x + l.b * p.y + l.c == 0
-
-
-def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Point | None:
-    """Intersection point of two lines, or None for parallel or identical
-    lines."""
-    from fractions import Fraction
-
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None
-    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
-    y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
-    return Point(x, y)
-
-
 def _row(p: Point) -> tuple[int, int, int, int]:
     """The reduced integer row of a point of Fractions or ints."""
     x, y = p
     return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _coord(v) -> tuple[int, int]:
+    """A coordinate as its reduced (numerator, denominator): a "p/q" string of
+    the point-file grammar, or a value with int numerator and denominator, as
+    an int or a Fraction has; a float or decimal is refused."""
+    if isinstance(v, str):
+        from .pointfile import _parse_coord  # pointfile imports this module
+        return _parse_coord(v, "point")
+    n, d = getattr(v, "numerator", None), getattr(v, "denominator", None)
+    if type(n) is not int or type(d) is not int:
+        raise ValueError(f"coordinate {v!r} is not an int, a Fraction or a 'p/q' string")
+    return n, d
 
 
 class PointSet:
@@ -169,10 +120,9 @@ class PointSet:
 
     @classmethod
     def of(cls, coords: Iterable) -> "PointSet":
-        """The points of (x, y) pairs of anything Fraction takes; a pair of
-        ints makes its row without one."""
+        """The points of (x, y) pairs of _coord's coordinates; int pairs skip it."""
         return cls._of_rows([(x, 1, y, 1) if type(x) is int and type(y) is int
-                             else _row(point(x, y)) for x, y in coords])
+                             else _coord(x) + _coord(y) for x, y in coords])
 
     def __len__(self):
         return len(self.rows)

@@ -16,17 +16,23 @@ tests check it against:
 - ``count_incidences`` tests every point against every given line, where
   the package sums the census histogram;
 - ``gen_projection_augmented`` makes the projection set from ``Point``s of
-  ``Fraction``s, where the package makes and orders integer rows.
+  ``Fraction``s, where the package makes and orders integer rows;
+- ``point``, ``orientation``, ``line_through``, ``incident``, ``intersect``
+  and ``DegeneratePairError`` are the predicates on ``Point``s of
+  ``Fraction``s that the package answered with before it held integer rows,
+  and ``normalize`` reduces a rational triple to its ``CanonicalLine`` by
+  ``Fraction``s, where the package's ``CanonicalLine.of`` takes ints only.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Optional
 
-from ordtri.geom import CanonicalLine, Point, incident, intersect, line_through, orientation
+from ordtri.geom import CanonicalLine, Point
 from ordtri.incidence import (
     InvariantError,
     PointSet,
@@ -45,6 +51,69 @@ def _unscale(key: tuple[int, int, int], sx: int, sy: int) -> tuple[int, int, int
     a, b, c = key[0] * sx, key[1] * sy, key[2]
     g = gcd(a, b, c)
     return (a // g, b // g, c // g)
+
+
+# --- predicates on Points of Fractions ---------------------------------------
+
+class DegeneratePairError(ValueError):
+    """Line requested through two coincident points."""
+
+
+def point(x, y) -> Point:
+    """Build a Point from anything Fraction accepts (int, Fraction, 'p/q' string)."""
+    return Point(Fraction(x), Fraction(y))
+
+
+def normalize(a, b, c) -> CanonicalLine:
+    """The canonical line of a rational triple: its denominators cleared by
+    their lcm, then the gcd and the sign divided out."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a == 0 and b == 0:
+        raise ValueError("not a line: a = b = 0")
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = int(a * scale), int(b * scale), int(c * scale)
+    g = gcd(a, b, c) if a > 0 or (a == 0 and b > 0) else -gcd(a, b, c)
+    return CanonicalLine(a // g, b // g, c // g)
+
+
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Sign of the determinant of (q-p, r-p): +1 ccw, -1 cw, 0 collinear.
+
+    Coincident points count as collinear.  Exact, no rounding.
+    """
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    if d > 0:
+        return 1
+    if d < 0:
+        return -1
+    return 0
+
+
+def line_through(p: Point, q: Point) -> CanonicalLine:
+    """The unique canonical line incident to both p and q.  Symmetric in p, q."""
+    if p == q:
+        raise DegeneratePairError(f"degenerate pair: {p!r} given twice")
+    # a*x + b*y + c = 0 with (a, b) normal to q - p, cleared of denominators
+    a = p.y - q.y
+    b = q.x - p.x
+    c = p.x * q.y - q.x * p.y
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    return CanonicalLine.of(int(a * scale), int(b * scale), int(c * scale))
+
+
+def incident(l: CanonicalLine, p: Point) -> bool:
+    return l.a * p.x + l.b * p.y + l.c == 0
+
+
+def intersect(l1: CanonicalLine, l2: CanonicalLine) -> Point | None:
+    """Intersection point of two lines, or None for parallel or identical
+    lines."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        return None
+    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
+    y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
+    return Point(x, y)
 
 
 # --- the object-per-line API -------------------------------------------------

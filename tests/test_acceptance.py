@@ -28,7 +28,7 @@ from ordtri.generators import (
     gen_rich_line_plus,
     gen_two_line_union,
 )
-from ordtri.geom import CanonicalLine, line_through
+from ordtri.geom import CanonicalLine
 from ordtri.incidence import PointSet, line_census
 from ordtri.richline import find_ordinary_line
 from ordtri.triangles import build_poor_graph, derive_constants, find_c_ordinary
@@ -38,6 +38,7 @@ from reference import (
     count_triangles,
     enumerate_all_c_ordinary,
     enumerate_lines,
+    line_through,
     points_on_line,
     spectrum_table,
     validate_c_ordinary,

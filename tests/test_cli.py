@@ -154,6 +154,14 @@ class TestGenerate:
                              f"--extra={extra}")
         assert (code, out) == (2, "") and err == f"error: --extra {extra!r}: expected 'X,Y'\n"
 
+    # an extra point on the x-axis is named in point-file numbers
+    @pytest.mark.parametrize("extra, shown", [("7,0", "7"), ("2/4,-0/3", "1/2")])
+    def test_extra_on_the_axis(self, capsys, extra, shown):
+        code, out, err = run(capsys, "generate", "--kind", "rich-line", "--k", "4",
+                             "--extra", "0,1", "--extra", extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: extra point ({shown}, 0) lies on the x-axis\n"
+
     def test_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "generate", "--kind", "random",
                          "--n", "20", "--bound", "100", "--seed", "5")
@@ -514,6 +522,14 @@ class TestStartup:
             integer, "-2,27154,-2000000014", str(rational), "3,-2,1")
         assert codes == "0 0" and len(out.splitlines()) == (12 + 66) + (6 + 15)
         assert "ordtri.generators" in loaded and not self.EXACT & loaded
+
+    def test_generate_rich_line_makes_no_fraction(self):
+        # the --extra points are checked and held as integer rows
+        codes, loaded, out = self.loaded_by(
+            "codes = [cli.main(['generate', '--kind', 'rich-line', '--k', '4',\n"
+            "                   '--extra', '1/2,1/3', '--extra', '0,1'])]\n")
+        assert codes == "0" and out == "0 0\n1 0\n2 0\n3 0\n1/2 1/3\n0 1\n"
+        assert "ordtri.generators" in loaded and not (self.EXACT | {"numbers"}) & loaded
 
     def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file):
         codes, loaded, out = self.loaded_by(

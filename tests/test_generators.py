@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import CanonicalLine, incident, intersect, orientation, point
+from ordtri.geom import CanonicalLine
 from ordtri.incidence import DegeneracyTag, PointSet, classify_degeneracy, line_census
 from ordtri.generators import (
     gen_cubic_progression,
@@ -16,7 +16,7 @@ from ordtri.generators import (
     gen_two_line_union,
 )
 import reference
-from reference import enumerate_lines
+from reference import enumerate_lines, incident, intersect, orientation, point
 
 
 class TestGrid:

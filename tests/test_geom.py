@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import (
-    CanonicalLine,
+from ordtri.geom import CanonicalLine, Point
+from reference import (
     DegeneratePairError,
-    Point,
     incident,
     intersect,
     line_through,
+    normalize,
     orientation,
     point,
 )
@@ -97,21 +97,29 @@ class TestCanonicalLine:
     def test_normalization(self):
         assert CanonicalLine.of(-2, 4, -6) == CanonicalLine(1, -2, 3)
         assert CanonicalLine.of(0, -3, 9) == CanonicalLine(0, 1, -3)
-        assert CanonicalLine.of(Fraction(1, 2), Fraction(3, 4), 0) == CanonicalLine(2, 3, 0)
+        # rational triples are the reference's: CanonicalLine.of refuses them
+        # (tests/test_incidence.py)
+        assert normalize(Fraction(1, 2), Fraction(3, 4), 0) == CanonicalLine(2, 3, 0)
+        assert normalize("1/2", "-3/4", 1) == CanonicalLine(2, -3, 4)
+        assert normalize(Fraction(-1, 3), 2, "0") == CanonicalLine(1, -6, 0)
+        with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
+            normalize(False, Fraction(0), 1)
 
     @given(st.integers(-40, 40) | st.integers(), st.integers(-40, 40),
            st.integers(-40, 40) | st.integers())
     def test_int_triple_matches_the_fraction_path(self, a, b, c):
-        # a triple of ints is reduced by gcd and sign alone; the same values
-        # as Fractions take the Fraction path: the same line or the same error
-        def of(*triple):
+        # a triple of ints is reduced by gcd and sign alone; the reference
+        # normalizes the same values as Fractions: the same line or the same
+        # error
+        def of(normal, *triple):
             try:
-                return CanonicalLine.of(*triple)
+                return normal(*triple)
             except ValueError as exc:
                 return str(exc)
 
-        line = of(a, b, c)
-        assert line == of(Fraction(a), Fraction(b), Fraction(c)) == of(a, Fraction(b), c)
+        line = of(CanonicalLine.of, a, b, c)
+        assert line == of(normalize, Fraction(a), Fraction(b), Fraction(c)) \
+            == of(normalize, a, Fraction(b), c)
         if a == b == 0:
             assert line == "not a line: a = b = 0"
         else:
@@ -122,15 +130,10 @@ class TestCanonicalLine:
         assert CanonicalLine.of(-6, 9, -12) == CanonicalLine(2, -3, 4)  # the sign of a
         assert CanonicalLine.of(0, -4, 6) == CanonicalLine(0, 2, -3)  # a = 0: the sign of b
         assert CanonicalLine.of(0, 5, 0) == CanonicalLine(0, 1, 0)
-        with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
-            CanonicalLine.of(0, 0, 5)
-
-    def test_other_inputs_still_accepted(self):
-        assert CanonicalLine.of(True, False, -3) == CanonicalLine(1, 0, -3)
-        assert CanonicalLine.of("1/2", "-3/4", 1) == CanonicalLine(2, -3, 4)
-        assert CanonicalLine.of(Fraction(-1, 3), 2, "0") == CanonicalLine(1, -6, 0)
-        with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
-            CanonicalLine.of(False, Fraction(0), 1)
+        assert CanonicalLine.of(True, False, -3) == CanonicalLine(1, 0, -3)  # bools are ints
+        for triple in ((0, 0, 5), (False, 0, 1)):
+            with pytest.raises(ValueError, match=r"^not a line: a = b = 0$"):
+                CanonicalLine.of(*triple)
 
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
     def test_idempotent(self, a, b, c):

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from collections import Counter, defaultdict
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import CanonicalLine, incident, line_through, orientation, point
+from ordtri.geom import CanonicalLine
 from ordtri.incidence import (
     DegeneracyTag,
     PointSet,
@@ -38,7 +39,11 @@ from reference import (
     _unscale,
     enumerate_lines,
     first_ordinary_pair,
+    incident,
+    line_through,
+    orientation,
     pair_line_multiplicity,
+    point,
     points_on_line,
     spectrum_f,
     spectrum_table,
@@ -509,8 +514,9 @@ class TestClassifyDegeneracy:
     def test_runs_no_fraction_incidence_test(self, monkeypatch, P, tag, witness):
         def refuse(*args):
             raise AssertionError("Fraction incidence test")
-        monkeypatch.setattr(ordtri.geom, "incident", refuse)
-        monkeypatch.setattr(ordtri.incidence, "incident", refuse, raising=False)
+        # no package module may grow a Fraction incidence test again
+        for module in (ordtri.geom, ordtri.incidence):
+            monkeypatch.setattr(module, "incident", refuse, raising=False)
         cls = classify_degeneracy(P)
         assert (cls.tag.value, [l.triple() for l in cls.witness]) == (tag, witness)
 
@@ -658,6 +664,20 @@ class TestPointSet:
             assert P.lifted == first.lifted
             assert format_points(P) == text
         assert parse_points(io.StringIO(text)) == first
+
+    # coordinates are exact: a float, a decimal or a string outside the
+    # point-file grammar is refused, not rationalized, and a line triple is
+    # ints (bools are ints)
+    @pytest.mark.parametrize("build, error", [
+        *((lambda v=v: PointSet.of([(v, 0)]), ValueError)
+          for v in (0.1, Decimal("0.1"), "1.5", "1e3", " 3 ")),
+        *((lambda v=v: CanonicalLine.of(v, 1, 2), TypeError)
+          for v in (0.5, Fraction(1, 2), "1/2")),
+    ], ids=["float", "decimal", "decimal-string", "exponent", "spaces",
+            "line-float", "line-fraction", "line-string"])
+    def test_non_rational_coordinates_are_refused(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_every_constructor_reports_a_duplicate_alike(self):
         # (-6/3, 0/5) and (-2, -0) are one point

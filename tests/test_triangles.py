@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtri.geom import CanonicalLine, incident, line_through, orientation, point
+from ordtri.geom import CanonicalLine
 import ordtri.incidence
 import ordtri.richline
 import ordtri.triangles
@@ -36,6 +36,10 @@ from reference import (
     enumerate_all_c_ordinary,
     enumerate_lines,
     first_ordinary_pair,
+    incident,
+    line_through,
+    orientation,
+    point,
     points_on_line,
     top_line,
     validate_c_ordinary,
@@ -54,7 +58,6 @@ def slow_oracle(P, c):
         p, q, r = P[i], P[j], P[k]
         if orientation(p, q, r) == 0:
             continue
-        from ordtri.geom import line_through
         if all(prof.entries[line_through(u, v)] <= c
                for u, v in ((p, q), (p, r), (q, r))):
             found.append((i, j, k))
@@ -446,8 +449,9 @@ class TestCountOnly:
             raise AssertionError("count_c_ordinary must not intersect lines")
         import ordtri.geom
         import ordtri.triangles
-        monkeypatch.setattr(ordtri.geom, "intersect", no_intersect)
-        monkeypatch.setattr(ordtri.triangles, "intersect", no_intersect, raising=False)
+        # no package module may grow a Fraction intersection again
+        for module in (ordtri.geom, ordtri.triangles):
+            monkeypatch.setattr(module, "intersect", no_intersect, raising=False)
         assert count_c_ordinary(gen_grid(12), 3) == 74168
 
 
