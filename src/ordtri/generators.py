@@ -4,6 +4,7 @@ that kills all 2-ordinary triangles.
 """
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Iterable
 from functools import cmp_to_key
@@ -94,22 +95,32 @@ RANDOM_SCHEME = "mt19937-randrange-v1"
 def gen_random(n: int, coordinate_bound: int, seed: int) -> PointSet:
     """n distinct integer points drawn uniformly from [0, bound]^2.
 
-    Sampling scheme RANDOM_SCHEME: Mersenne Twister (random.Random(seed)),
-    coordinates via two randrange(bound+1) draws, duplicates rejected.
-    Identical seed and parameters reproduce the identical set.
+    Sampling scheme RANDOM_SCHEME: the Mersenne Twister of random.Random(seed)
+    draws each coordinate, x first, then y, as r = getrandbits(k) for
+    k = (bound + 1).bit_length(), drawing again until r <= bound (the loop
+    that randrange(bound + 1) runs); duplicates are rejected.  Identical seed
+    and parameters reproduce the identical set.  The bound must be an int.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if coordinate_bound < n:
+    m = operator.index(coordinate_bound) + 1
+    if m <= n:
         raise ValueError("coordinate bound must be >= n to keep distinctness feasible")
-    rng = random.Random(seed)
+    k = m.bit_length()
+    getrandbits = random.Random(seed).getrandbits
     rows: dict[tuple[int, int, int, int], None] = {}  # the integer rows drawn, in order
     attempts = 0
     while len(rows) < n:
         attempts += 1
         if attempts > 100 * n + 1000:
             raise ValueError(f"could not place {n} distinct points in [0,{coordinate_bound}]^2")
-        rows[rng.randrange(coordinate_bound + 1), 1, rng.randrange(coordinate_bound + 1), 1] = None
+        x = getrandbits(k)
+        while x >= m:
+            x = getrandbits(k)
+        y = getrandbits(k)
+        while y >= m:
+            y = getrandbits(k)
+        rows[x, 1, y, 1] = None
     return PointSet._of_rows(rows, distinct=True)
 
 

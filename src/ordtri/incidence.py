@@ -8,7 +8,6 @@ slope key of its line (PointSet.lifted).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from enum import Enum
 from math import comb, gcd
@@ -192,6 +191,9 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     lifted, level = P.lifted
     order = sorted(range(n), key=lambda k: (-lifted[k][1], lifted[k][0]))
     swept = [lifted[k] for k in order]
+    below = [n] * n  # below[r]: the first point after point r in sweep order that is below it
+    for r in range(n - 2, -1, -1):
+        below[r] = below[r + 1] if swept[r + 1][1] == swept[r][1] else r + 1
     group_size_hist: Counter[int] = Counter()
     homogeneous = P.homogeneous
     rich = () if rich_threshold is None else [0] * n
@@ -199,7 +201,7 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     top_size, top_row, top_keys, top_groups = 0, 0, None, None
     for r in range(n - 1):
         x0, y0 = swept[r]
-        end = bisect_right(swept, -y0, r + 1, key=lambda p: -p[1])  # first point below
+        end = below[r]
         keys = groups = None  # free the last point's groups before building these
         keys = [level] * (end - r - 1) + _slope_keys(x0, y0, swept[end:])
         if len(set(keys)) < len(keys):

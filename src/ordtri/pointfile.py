@@ -62,5 +62,6 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def format_points(P: PointSet) -> str:
-    return "".join([f"{_ratio_text(xn, xd)} {_ratio_text(yn, yd)}\n"
+    return "".join([f"{xn} {yn}\n" if xd == yd == 1
+                    else f"{_ratio_text(xn, xd)} {_ratio_text(yn, yd)}\n"
                     for xn, xd, yn, yd in P.rows])

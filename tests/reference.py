@@ -17,6 +17,8 @@ tests check it against:
   the package sums the census histogram;
 - ``gen_projection_augmented`` makes the projection set from ``Point``s of
   ``Fraction``s, where the package makes and orders integer rows;
+- ``gen_random`` draws the seeded random set by ``Random.randrange``, where
+  the package runs the same ``getrandbits`` rejection loop itself;
 - ``point``, ``orientation``, ``line_through``, ``incident``, ``intersect``
   and ``DegeneratePairError`` are the predicates on ``Point``s of
   ``Fraction``s that the package answered with before it held integer rows,
@@ -25,6 +27,7 @@ tests check it against:
 """
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -336,3 +339,23 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
             raise ValueError("augmentation line not generic: parallel to a determined line")
         added.add(u)
     return PointSet(tuple(P1) + tuple(sorted(added)))
+
+
+# --- the random generator by randrange ---------------------------------------
+
+def gen_random(n: int, coordinate_bound: int, seed: int) -> PointSet:
+    """The seeded random set drawn by two randrange(bound + 1) calls a point,
+    duplicates rejected; the package's errors, in its order."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if coordinate_bound < n:
+        raise ValueError("coordinate bound must be >= n to keep distinctness feasible")
+    rng = random.Random(seed)
+    points: dict[tuple[int, int], None] = {}
+    attempts = 0
+    while len(points) < n:
+        attempts += 1
+        if attempts > 100 * n + 1000:
+            raise ValueError(f"could not place {n} distinct points in [0,{coordinate_bound}]^2")
+        points[rng.randrange(coordinate_bound + 1), rng.randrange(coordinate_bound + 1)] = None
+    return PointSet.of(list(points))

@@ -20,7 +20,7 @@ from ordtri.generators import (
 )
 from ordtri.geom import CanonicalLine
 from ordtri.incidence import InvariantError, PointSet, classify_degeneracy
-from ordtri.pointfile import PointFileError, format_points, parse_points
+from ordtri.pointfile import PointFileError, _ratio_text, format_points, parse_points
 from ordtri.triangles import find_c_ordinary
 from reference import enumerate_all_c_ordinary, enumerate_lines, spectrum_table
 
@@ -56,6 +56,22 @@ class TestPointFile:
     def test_roundtrip(self):
         P = PointSet.of([(0, 0), ("1/2", "-3/7"), (-4, 9)])
         assert parse_points(io.StringIO(format_points(P))).points == P.points
+        assert parse_points(io.StringIO(format_points(P))).rows == P.rows
+
+    # an integral row is written as its two numerators, any other row
+    # coordinate by coordinate: both give the text of each coordinate
+    @pytest.mark.parametrize("points", [
+        [(3, 4)], [(3, "1/2")], [("1/2", 3)], [(0, 0)], [(-5, 0)], [(0, -7)], [(-3, -4)],
+        [("-3/7", 2)], [(2, "-3/7")], [("-3/7", "-1/2")], [(2 ** 70, -2 ** 70)],
+        [(-2 ** 70, f"{2 ** 70}/3")], [(f"-1/{2 ** 70}", 2 ** 70)],
+        [(0, 0), (3, "1/2"), ("1/2", 3), (-4, 9), ("-3/7", "-1/2"), (2 ** 70, -2 ** 70)],
+    ])
+    def test_rows_are_written_as_their_coordinate_texts(self, points):
+        P = PointSet.of(points)
+        text = format_points(P)
+        assert text == "".join(f"{_ratio_text(xn, xd)} {_ratio_text(yn, yd)}\n"
+                               for xn, xd, yn, yd in P.rows)
+        assert parse_points(io.StringIO(text)).rows == P.rows
 
     # signs, zeros, leading zeros and unreduced fractions: each token reads
     # as the Fraction of its text, and the file writes back in lowest terms

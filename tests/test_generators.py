@@ -50,10 +50,10 @@ class TestTwoLineUnion:
             gen_two_line_union(3, 0)
 
 
-def _outcome(gen, base, ell):
+def _outcome(gen, *args):
     """The rows gen makes, or the text of the ValueError it raises."""
     try:
-        return gen(base, ell).rows
+        return gen(*args).rows
     except ValueError as exc:
         return str(exc)
 
@@ -178,18 +178,19 @@ class TestRichLinePlus:
 
 class TestRandom:
     def test_seed_reproducibility(self):
-        assert gen_random(50, 100, 7).points == gen_random(50, 100, 7).points
+        assert gen_random(50, 100, 7).rows == gen_random(50, 100, 7).rows
 
     def test_seed_sensitivity(self):
-        assert gen_random(50, 100, 7).points != gen_random(50, 100, 8).points
+        assert gen_random(50, 100, 7).rows != gen_random(50, 100, 8).rows
 
     def test_small(self):
         P = gen_random(3, 10, 0)
-        assert len(P) == 3 and len(set(P.points)) == 3
+        assert len(P) == 3 and len(set(P.rows)) == 3
 
     def test_bounds_respected(self):
         P = gen_random(30, 40, 3)
-        assert all(0 <= p.x <= 40 and 0 <= p.y <= 40 for p in P)
+        assert all(xd == yd == 1 and 0 <= xn <= 40 and 0 <= yn <= 40
+                   for xn, xd, yn, yd in P.rows)
 
     def test_general_position_with_large_bound(self):
         P = gen_random(50, 10 ** 6, 1)
@@ -198,6 +199,27 @@ class TestRandom:
     def test_rejects_tight_bound(self):
         with pytest.raises(ValueError):
             gen_random(10, 5, 0)
+
+    # the scheme is the loop randrange(bound + 1) runs on getrandbits: the
+    # same sets as the randrange oracle, draws of 2 to 71 bits, with the
+    # bound just below, at and just above a power of two
+    @pytest.mark.parametrize("n, bound", [
+        (1, 1), (3, 10), (50, 50), (200, 2 ** 16 - 1), (200, 2 ** 16), (200, 2 ** 16 + 1),
+        (1000, 10 ** 8), (30, 2 ** 64 - 1), (20, 2 ** 70),
+    ])
+    def test_matches_the_randrange_oracle(self, n, bound):
+        for seed in range(21):
+            assert gen_random(n, bound, seed).rows == reference.gen_random(n, bound, seed).rows, seed
+
+    @pytest.mark.parametrize("n, bound", [(0, 10), (-1, 10), (10, 9), (10, 0), (2, 1)])
+    def test_errors_match_the_oracle(self, n, bound):
+        assert _outcome(gen_random, n, bound, 0) == _outcome(reference.gen_random, n, bound, 0)
+
+    # an integral float or Fraction bound is refused, not drawn from
+    @pytest.mark.parametrize("bound", [1e5, Fraction(10 ** 5)])
+    def test_non_int_bound_is_refused(self, bound):
+        with pytest.raises(TypeError):
+            gen_random(10, bound, 1)
 
 
 class TestCubicProgression:
