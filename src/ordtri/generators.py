@@ -7,12 +7,11 @@ from __future__ import annotations
 import operator
 import random
 from collections.abc import Iterable
-from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
 from .geom import CanonicalLine, PointSet, _coord
-from .incidence import DegeneracyTag, _line_of, classify_degeneracy
+from .incidence import DegeneracyTag, _cross, classify_degeneracy
 from .pointfile import _ratio_text
 
 
@@ -40,16 +39,19 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
     it meets every determined line in a single point and avoids P1.
     """
     a, b, c = ell
-    for i, (x, y, w) in enumerate(P1.homogeneous):
+    homogeneous = P1.homogeneous
+    for i, (x, y, w) in enumerate(homogeneous):
         if a * x + b * y + c * w == 0:
             raise ValueError(f"point {i} of the base set lies on the augmentation line")
-    # bases are small: one line object per pair of base points
-    lines = {_line_of(P1.homogeneous, i, j) for i, j in combinations(range(len(P1)), 2)}
-    if len(lines) < 2:
+    # checked before the pairs: a collinear base is refused as such also
+    # where its line is parallel to ell.  (0, 0, 0) holds a base under 3 points
+    a0, b0, c0 = _cross(homogeneous, 0, 1) if len(P1) > 2 else (0, 0, 0)
+    if all(a0 * x + b0 * y + c0 * w == 0 for x, y, w in homogeneous[2:]):
         raise ValueError("base set is collinear")
-    added = set()  # the meets as reduced rows
-    for a1, b1, c1 in lines:
-        # no determined line is ell itself: it would hold two base points
+    added = set()  # the meets as reduced rows, each once
+    for i, j in combinations(range(len(P1)), 2):
+        # the pair's unreduced line, never ell: ell holds no base point
+        a1, b1, c1 = _cross(homogeneous, i, j)
         d = a * b1 - a1 * b
         if d == 0:
             raise ValueError("augmentation line not generic: parallel to a determined line")
@@ -58,13 +60,14 @@ def gen_projection_augmented(P1: PointSet, ell: CanonicalLine) -> PointSet:
             x, y, d = -x, -y, -d
         gx, gy = gcd(x, d), gcd(y, d)
         added.add((x // gx, d // gx, y // gy, d // gy))
-
-    def order(r, s):  # by x, then y: denominators are > 0
-        return r[0] * s[1] - s[0] * r[1] or r[2] * s[3] - s[2] * r[3]
-
+    # By x, then y: on ell, x alone unless ell is vertical (b = 0).  With s =
+    # 2 * bitlen(largest denominator), distinct coordinates p/q differ by
+    # more than 2^-s, so the key floor(p * 2^s / q) is exact.
+    k = 0 if b else 2
+    s = 2 * max(row[k + 1] for row in added).bit_length()
     # the added points lie on ell and the base points off it: all distinct
-    return PointSet._of_rows(P1.rows + tuple(sorted(added, key=cmp_to_key(order))),
-                             distinct=True)
+    return PointSet._of_rows(P1.rows + tuple(sorted(added, key=lambda row: (row[k] << s)
+                                                    // row[k + 1])), distinct=True)
 
 
 def gen_rich_line_plus(k: int, extras: Iterable) -> PointSet:

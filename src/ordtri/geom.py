@@ -134,12 +134,16 @@ class PointSet:
         return iter(self.points)
 
     @cached_property
+    def scales(self) -> tuple[int, int]:
+        """(sx, sy): the lcm of the denominators of x, and of y."""
+        return lcm(*(row[1] for row in self.rows)), lcm(*(row[3] for row in self.rows))
+
+    @cached_property
     def scaled_ints(self) -> tuple[list[tuple[int, int]], int, int]:
         """Integer coordinates (X, Y) = (sx*x, sy*y) with per-axis denominator
         clearing.  The axis scaling is a positive-determinant linear map, so
         collinearity and line multiplicities are preserved."""
-        sx = lcm(*(row[1] for row in self.rows))
-        sy = lcm(*(row[3] for row in self.rows))
+        sx, sy = self.scales
         return [(xn * (sx // xd), yn * (sy // yd)) for xn, xd, yn, yd in self.rows], sx, sy
 
     @cached_property
@@ -154,28 +158,44 @@ class PointSet:
         return out
 
     @cached_property
-    def lifted(self) -> tuple[list[tuple[int, int]], int]:
-        """The scaled points lifted to (X << S, Y), or sheared to
-        (((X - Xmin) << S) - L * (Y - Ymin), Y), and the key of a level pair,
-        L = (span(X) + 1) << S or, sheared, 2L: above every slope key.
+    def lifted(self) -> tuple[list[tuple[int, ...]], int, list[tuple[int, int]]]:
+        """The lifted points, the key of a level pair (above every slope
+        key) and the sweep keys: sorted by them, the points run by y
+        descending, then x ascending; level points share a first entry.
 
-        The slope key of the line from (X0, Y0) to (X, Y), Y != Y0, is the
-        lifted (X - X0) // (Y0 - Y): floor(2^S * t) of its slope t, plus L
-        if sheared.  Distinct slopes differ by at least 1 / span(Y)^2, and on
-        rational input by (sx/sy) / 2^(4B+2), B the largest bit length in
-        homogeneous (slopes in original coordinates have denominators below
-        2^(2B+1)); so the smaller of S = 2 * bitlen(span(Y)) and
-        4B + 3 + bitlen(sy) - bitlen(sx) keeps their keys apart.  Sheared,
-        for Y < Y0 the dividend is ((X - X0) << S) + L * (Y0 - Y) >=
-        L - span(X) * 2^S = 2^S > 0, and keys lie in [2^S, 2L - 2^S]."""
-        pts, sx, sy = self.scaled_ints
+        A slope key is floor(2^S * t) of the line's inverse slope t =
+        (X - X0) / (Y0 - Y), plus L if sheared; distinct slopes get distinct
+        keys.  Rational input takes the homogeneous lift, integer input the
+        sheared one where span(Y) fits in one int digit and span(X) << S
+        does not, else the plain one.
+
+        - plain: (X << S, Y), S = 2 * bitlen(span(Y)), level key
+          L = (span(X) + 1) << S.
+        - sheared: (((X - Xmin) << S) - L * (Y - Ymin), Y), level key 2L:
+          every dividend is >= 2^S.
+        - homogeneous: (X << S, Y, W), S = 4B + 3, B the largest bit length
+          in homogeneous, level key 2^(S + 2B + 1); sweep keys floor(2^s * v),
+          s = 2 * bitlen(largest denominator on the axis)."""
+        return self._lift()
+
+    def _lift(self, kind: str | None = None) -> tuple[list[tuple[int, ...]], int,
+                                                     list[tuple[int, int]]]:
+        """The lift of kind "plain", "sheared" or "homogeneous", or (None)
+        the one lifted picks."""
+        sx, sy = self.scales
+        if kind == "homogeneous" or kind is None and sx * sy > 1:
+            bits = max(v.bit_length() for triple in self.homogeneous for v in triple)
+            shift, rows = 4 * bits + 3, self.rows
+            tx = 2 * max(row[1] for row in rows).bit_length()
+            ty = 2 * max(row[3] for row in rows).bit_length()
+            return ([(x << shift, y, w) for x, y, w in self.homogeneous],
+                    1 << (shift + 2 * bits + 1),
+                    [(-((yn << ty) // yd), (xn << tx) // xd) for xn, xd, yn, yd in rows])
+        pts, _, _ = self.scaled_ints
         xs, ys = zip(*pts)
         x_min, y_min = min(xs), min(ys)
         span_y = max(ys) - y_min
         shift = 2 * span_y.bit_length()
-        if sx * sy > 1:
-            bits = max(v.bit_length() for triple in self.homogeneous for v in triple)
-            shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
         span_x = max(xs) - x_min
         level = (span_x + 1) << shift
         # The shear spares floor division the fix-up of a negative dividend.
@@ -183,6 +203,10 @@ class PointSet:
         # division costs in proportion to its quotient, which the shear grows
         # to the bit length of L.  One-digit ints, where span(X) << S fits,
         # already divide fast.
-        if span_y >> _DIGIT or not (span_x << shift) >> _DIGIT:
-            return [(x << shift, y) for x, y in pts], level
-        return [(((x - x_min) << shift) - level * (y - y_min), y) for x, y in pts], 2 * level
+        if kind == "plain" or kind is None and (span_y >> _DIGIT
+                                                or not (span_x << shift) >> _DIGIT):
+            lifted = [(x << shift, y) for x, y in pts]
+        else:
+            lifted = [(((x - x_min) << shift) - level * (y - y_min), y) for x, y in pts]
+            level *= 2
+        return lifted, level, [(-y, x) for x, y in lifted]

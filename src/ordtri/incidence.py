@@ -44,13 +44,20 @@ def _scaled_line_key(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]
     return (a, b, c)
 
 
-def _slope_keys(x0: int, y0: int, others, level: int | None = None) -> list[int]:
+def _slope_keys(p0, others, level: int | None = None) -> list[int]:
     """The slope key (PointSet.lifted) of the line through the lifted point
-    (x0, y0) and each other one: equal iff collinear with (x0, y0).  Without
-    the level key, no other point may be level with (x0, y0): no branch."""
+    p0, an (X, Y) or a homogeneous (X, Y, W), and each other one: equal iff
+    collinear with p0.  Without the level key, no other point may be level
+    with p0: no branch."""
+    if len(p0) == 2:
+        x0, y0 = p0
+        if level is None:
+            return [(x - x0) // (y0 - y) for x, y in others]
+        return [(x - x0) // (y0 - y) if y != y0 else level for x, y in others]
+    x0, y0, w0 = p0  # x0 and each x are shifted by S already
     if level is None:
-        return [(x - x0) // (y0 - y) for x, y in others]
-    return [(x - x0) // (y0 - y) if y != y0 else level for x, y in others]
+        return [(x * w0 - x0 * w) // (y0 * w - y * w0) for x, y, w in others]
+    return [(x * w0 - x0 * w) // d if (d := y0 * w - y * w0) else level for x, y, w in others]
 
 
 def _cross(homogeneous, i: int, j: int) -> tuple[int, int, int]:
@@ -159,13 +166,13 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     """O(n^2)-time, O(n)-memory census of determined-line multiplicities
     (H, when asked for, takes n^2 bits).
 
-    The points are visited in sweep order: scaled Y descending, then X
-    ascending, an order of the coordinates only.  Each point groups the
-    points after it by the slope key of their line through it; those level
-    with it come first and take the level key.  A line whose points come in
-    sweep order p1, ..., pl produces one group of each size l-1, ..., 1, so
-    the number of groups of size s equals f(s+1), and the histogram follows
-    without storing any line.  Most rows on a generic set have no repeated
+    The points are visited in sweep order: y descending, then x ascending,
+    an order of the coordinates only (PointSet.lifted).  Each point groups
+    the points after it by the slope key of their line through it; those
+    level with it come first and take the level key.  A line whose points
+    come in sweep order p1, ..., pl produces one group of each size l-1,
+    ..., 1, so the number of groups of size s equals f(s+1), and the
+    histogram follows without storing any line.  Most rows on a generic set have no repeated
     key; such a row only counts its pairs.
 
     Only the first point p1 of a line in sweep order owns its group of
@@ -188,22 +195,21 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
     n = len(P)
     if n < 2:
         raise UnderdeterminedError("underdetermined: need at least 2 points")
-    lifted, level = P.lifted
-    order = sorted(range(n), key=lambda k: (-lifted[k][1], lifted[k][0]))
+    lifted, level, sweep = P.lifted
+    order = sorted(range(n), key=sweep.__getitem__)
     swept = [lifted[k] for k in order]
     below = [n] * n  # below[r]: the first point after point r in sweep order that is below it
     for r in range(n - 2, -1, -1):
-        below[r] = below[r + 1] if swept[r + 1][1] == swept[r][1] else r + 1
+        below[r] = below[r + 1] if sweep[order[r + 1]][0] == sweep[order[r]][0] else r + 1
     group_size_hist: Counter[int] = Counter()
     homogeneous = P.homogeneous
     rich = () if rich_threshold is None else [0] * n
     owned_before = [0] * n  # P-index -> its rich groups on lines an earlier point owns
     top_size, top_row, top_keys, top_groups = 0, 0, None, None
     for r in range(n - 1):
-        x0, y0 = swept[r]
         end = below[r]
         keys = groups = None  # free the last point's groups before building these
-        keys = [level] * (end - r - 1) + _slope_keys(x0, y0, swept[end:])
+        keys = [level] * (end - r - 1) + _slope_keys(swept[r], swept[end:])
         if len(set(keys)) < len(keys):
             groups = Counter(keys)
             group_size_hist.update(groups.values())

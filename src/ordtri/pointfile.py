@@ -22,13 +22,13 @@ class PointFileError(ValueError):
     """Parse failure; message carries where it failed (line numbers, option)."""
 
 
-def _parse_coord(tok: str, where: str) -> tuple[int, int]:
+def _parse_coord(tok: str, where: str | None = None) -> tuple[int, int]:
     """One coordinate token as its reduced (numerator, denominator > 0);
-    where locates it in the error message."""
+    where, if given, locates it in the error message."""
     m = _COORD.fullmatch(tok)
     if m is None:
-        raise PointFileError(
-            f"{where}: bad coordinate {tok!r} (integer or p/q rational required)")
+        error = f"bad coordinate {tok!r} (integer or p/q rational required)"
+        raise PointFileError(error if where is None else f"{where}: {error}")
     p, q = m.groups()
     if q is None:
         return int(p), 1
@@ -47,8 +47,10 @@ def parse_points(stream: Iterable[str]) -> PointSet:
         if len(toks) != 2:
             line = raw.split("#", 1)[0].strip()
             raise PointFileError(f"line {lineno}: expected 'x y', got {line!r}")
-        where = f"line {lineno}"
-        row = _parse_coord(toks[0], where) + _parse_coord(toks[1], where)
+        try:
+            row = _parse_coord(toks[0]) + _parse_coord(toks[1])
+        except PointFileError as exc:
+            raise PointFileError(f"line {lineno}: {exc}") from None
         first = seen.setdefault(row, lineno)
         if first != lineno:
             duplicates.append(f"line {lineno} repeats line {first}")

@@ -32,8 +32,8 @@ class RichCaseWitness(namedtuple("RichCaseWitness",
 def _pencil(P: PointSet, k: int) -> tuple[list[int | None], dict[int, int]]:
     """The lines through point k: the slope key toward every point (None at
     k itself) and the multiplicity of each line, in O(n)."""
-    lifted, level = P.lifted
-    toward = incidence._slope_keys(*lifted[k], lifted[:k] + lifted[k + 1:], level)
+    lifted, level, _ = P.lifted
+    toward = incidence._slope_keys(lifted[k], lifted[:k] + lifted[k + 1:], level)
     mult = {key: size + 1 for key, size in Counter(toward).items()}
     toward.insert(k, None)
     return toward, mult
@@ -55,15 +55,14 @@ def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
     idx = sorted(range(len(P)) if indices is None else indices)
     if len(idx) < 3:
         raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: fewer than 3 points")
-    lifted, level = P.lifted
+    lifted, level, _ = P.lifted
     sub = [lifted[k] for k in idx]
-    (x0, y0), (x1, y1) = sub[0], sub[1]
-    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in sub[2:]):
-        raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
     noted = set()  # (a, key): a lies on a noted line of that slope
     for a in range(len(sub) - 1):
-        keys = incidence._slope_keys(*sub[a], sub[a + 1:], level)
+        keys = incidence._slope_keys(sub[a], sub[a + 1:], level)
         groups = Counter(keys)
+        if a == 0 and len(groups) == 1:  # one line through the first point holds them all
+            raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
         for b, key in enumerate(keys, a + 1):
             if groups[key] == 1 and (a, key) not in noted:
                 return incidence._line_of(P.homogeneous, idx[a], idx[b]), idx[a], idx[b]

@@ -19,6 +19,9 @@ tests check it against:
   ``Fraction``s, where the package makes and orders integer rows;
 - ``gen_random`` draws the seeded random set by ``Random.randrange``, where
   the package runs the same ``getrandbits`` rejection loop itself;
+- ``with_lift`` forces one of the three lifts of ``PointSet.lifted`` on a
+  set, whatever the package would pick, and ``lift_kind`` names the
+  lift a set took;
 - ``point``, ``orientation``, ``line_through``, ``incident``, ``intersect``
   and ``DegeneratePairError`` are the predicates on ``Point``s of
   ``Fraction``s that the package answered with before it held integer rows,
@@ -359,3 +362,24 @@ def gen_random(n: int, coordinate_bound: int, seed: int) -> PointSet:
             raise ValueError(f"could not place {n} distinct points in [0,{coordinate_bound}]^2")
         points[rng.randrange(coordinate_bound + 1), rng.randrange(coordinate_bound + 1)] = None
     return PointSet.of(list(points))
+
+
+# --- the census's lifts, forced ----------------------------------------------
+
+LIFTS = ("plain", "sheared", "homogeneous")
+
+
+def with_lift(P: PointSet, kind: str) -> PointSet:
+    """P's rows as a new set whose census and rich-line keys take the lift
+    kind of PointSet._lift, whatever PointSet.lifted would pick."""
+    Q = PointSet._of_rows(P.rows, distinct=True)
+    Q.lifted = Q._lift(kind)
+    return Q
+
+
+def lift_kind(P: PointSet) -> str:
+    """The kind of P.lifted: the one lift it equals."""
+    kinds = [kind for kind in LIFTS if P._lift(kind) == P.lifted]
+    if len(kinds) != 1:
+        raise AssertionError(f"P.lifted is {kinds or 'none'} of the lifts")
+    return kinds[0]

@@ -572,7 +572,8 @@ class TestExitPaths:
         # point of a rich group on the group's line.  The keys are folded
         # about the key of a vertical line (points 0 and 4): 0 on the grid,
         # L on the grid stretched along x, whose lift is sheared
-        # (PointSet.lifted) so that every key is positive
+        # (PointSet.lifted) so that every key is positive, and 0 on the grid
+        # under the homogeneous lift
         script = ("import ordtri.incidence\n"
                   "from ordtri import (InvariantError, PointSet, build_poor_graph,\n"
                   "                    count_c_ordinary, gen_grid, line_census)\n"
@@ -586,9 +587,11 @@ class TestExitPaths:
                   "        print('raised:', exc)\n"
                   "report(lambda: build_poor_graph(P, skewed, 3))\n"
                   "real = ordtri.incidence._slope_keys\n"
-                  "for Q in (P, PointSet.of([(x << 30, y) for x, _, y, _ in P.rows])):\n"
-                  "    lifted, _ = Q.lifted\n"
-                  "    vertical = real(*lifted[4], [lifted[0]])[0]\n"
+                  "H = PointSet._of_rows(P.rows)\n"
+                  "H.lifted = H._lift('homogeneous')\n"
+                  "for Q in (P, PointSet.of([(x << 30, y) for x, _, y, _ in P.rows]), H):\n"
+                  "    lifted = Q.lifted[0]\n"
+                  "    vertical = real(lifted[4], [lifted[0]])[0]\n"
                   "    ordtri.incidence._slope_keys = lambda *args: [\n"
                   "        vertical + abs(key - vertical) for key in real(*args)]\n"
                   "    report(lambda: count_c_ordinary(Q, 3))\n")
@@ -598,7 +601,7 @@ class TestExitPaths:
         first, *folded = proc.stdout.splitlines()
         assert first.startswith("raised: poor-graph edge identity violated")
         # points 13, 8 and 10 are (1, 3), (0, 2) and (2, 2), x stretched or not
-        assert folded == ["raised: point 10 is grouped on the line through points 13 and 8 but is off it"] * 2
+        assert folded == ["raised: point 10 is grouped on the line through points 13 and 8 but is off it"] * 3
 
     def test_broken_pipe_exits_141_silently(self, tmp_path):
         path = tmp_path / "grid8.txt"

@@ -145,6 +145,36 @@ class TestProjectionAugmented:
         for triple in ((1, 0, 9), (1, -1, 9)):  # ell crosses the base line, or is parallel
             self.assert_rejected([(0, 0), (1, 1), (2, 2)], triple, "base set is collinear")
 
+    @pytest.mark.parametrize("coords, triple, message", [
+        # a point on ell comes first: here the base is also collinear
+        ([(0, 0), (1, 1), (2, 2)], (1, 1, -4), "point 2 of the base set lies on the augmentation line"),
+        # and also has a line parallel to ell
+        ([(0, 0), (1, 0), (0, 1), (3, 0)], (0, 1, -1), "point 2 of the base set lies on the augmentation line"),
+        # then a collinear base, though its one line is parallel to ell, on
+        # rational points
+        ([("1/2", "1/3"), ("3/2", "4/3"), ("-1/2", "-2/3")], (1, -1, 7), "base set is collinear"),
+        # under three points a base is collinear
+        ([(0, 0), (1, 2)], (1, 1, 9), "base set is collinear"),
+        ([("1/2", 3)], (1, 1, 9), "base set is collinear"),
+        # then a line parallel to ell
+        ([(0, 0), (1, 0), (0, 1)], (1, 1, 5), "augmentation line not generic: parallel to a determined line"),
+    ], ids=["on-ell-collinear", "on-ell-parallel", "collinear-parallel", "two-points", "one-point",
+            "parallel"])
+    def test_errors_in_precedence(self, coords, triple, message):
+        self.assert_rejected(coords, triple, message)
+
+    @pytest.mark.parametrize("shift", [0, "1/3"])
+    def test_lines_that_meet_on_ell_add_one_point(self, shift):
+        # the line through points 0 and 1 and the vertical through points 2
+        # and 3 meet ell: x + 2y = 15 at (5, 5): six lines, five meets
+        coords = [(0, 0), (1, 1), (5, 0), (5, 1)]
+        if shift:  # translated by (1/3, 1/3), with ell
+            coords = [(f"{3 * x + 1}/3", f"{3 * y + 1}/3") for x, y in coords]
+        base, ell = PointSet.of(coords), CanonicalLine.of(1, 2, -16 if shift else -15)
+        P = gen_projection_augmented(base, ell)
+        assert len(P) == 4 + 5
+        assert P.rows == reference.gen_projection_augmented(base, ell).rows
+
 
 class TestRichLinePlus:
     def test_case_i_trigger(self):

@@ -36,10 +36,12 @@ from ordtri.generators import (
 )
 from ordtri.pointfile import PointFileError, format_points, parse_points
 from reference import (
+    LIFTS,
     _unscale,
     enumerate_lines,
     first_ordinary_pair,
     incident,
+    lift_kind,
     line_through,
     orientation,
     pair_line_multiplicity,
@@ -48,6 +50,7 @@ from reference import (
     spectrum_f,
     spectrum_table,
     top_line,
+    with_lift,
 )
 
 
@@ -253,12 +256,12 @@ def line_partition(P, k):
     _scaled_line_key, as sorted lists of P-indices.  The keys toward the
     points below k, computed without the level key as the census does, must
     be the same."""
-    lifted, level = P.lifted
+    lifted, level, _ = P.lifted
     pts, _, _ = P.scaled_ints
     others = [j for j in range(len(P)) if j != k]
-    keys = dict(zip(others, _slope_keys(*lifted[k], [lifted[j] for j in others], level)))
+    keys = dict(zip(others, _slope_keys(lifted[k], [lifted[j] for j in others], level)))
     below = [j for j in others if pts[j][1] < pts[k][1]]
-    assert _slope_keys(*lifted[k], [lifted[j] for j in below]) == [keys[j] for j in below]
+    assert _slope_keys(lifted[k], [lifted[j] for j in below]) == [keys[j] for j in below]
     assert all(keys[j] < level for j in below)
     by_key, by_triple = defaultdict(list), defaultdict(list)
     for j in others:
@@ -271,26 +274,25 @@ BITS_PER_DIGIT = sys.int_info.bits_per_digit
 
 
 def unsheared_lift(P):
-    """PointSet.lifted as it was before the shear: (X << S, Y) and the level
-    key (span(X) + 1) << S, S as its docstring sets it."""
-    pts, sx, sy = P.scaled_ints
+    """PointSet.lifted as it was before the shear: (X << S, Y), the level
+    key (span(X) + 1) << S, S as its docstring sets it, and the sweep keys
+    (-Y, X << S)."""
+    pts, _, _ = P.scaled_ints
     xs, ys = zip(*pts)
     shift = 2 * (max(ys) - min(ys)).bit_length()
-    if sx * sy > 1:
-        bits = max(v.bit_length() for triple in P.homogeneous for v in triple)
-        shift = max(0, min(shift, 4 * bits + 3 + sy.bit_length() - sx.bit_length()))
-    return [(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift
+    return ([(x << shift, y) for x, y in pts], (max(xs) - min(xs) + 1) << shift,
+            [(-y, x << shift) for x, y in pts])
 
 
 def lift_of(P):
-    """(S, sheared) of P.lifted.  S is read off the level key, L =
-    (span(X) + 1) << S unsheared and 2L sheared; the lift must be the one
-    that the gate picks (sheared iff span(Y) fits in one int digit and
-    span(X) << S does not), by its formula."""
+    """(S, sheared) of P.lifted, a plain or sheared lift.  S is read off the
+    level key, L = (span(X) + 1) << S unsheared and 2L sheared; the lift
+    must be the one that the gate picks (sheared iff span(Y) fits in one
+    int digit and span(X) << S does not), by its formula."""
     pts, _, _ = P.scaled_ints
     xs, ys = zip(*pts)
     span_x, span_y = max(xs) - min(xs), max(ys) - min(ys)
-    lifted, level = P.lifted
+    lifted, level, sweep = P.lifted
     top = (level // (span_x + 1)).bit_length() - 1
     readings = []
     for shift, sheared in ((top, False), (top - 1, True)):
@@ -300,15 +302,10 @@ def lift_of(P):
         else:
             lift = [(x << shift, y) for x, y in pts], L
         gate = span_y.bit_length() <= BITS_PER_DIGIT < (span_x << shift).bit_length()
-        if sheared == gate and (lifted, level) == lift:
+        if sheared == gate and (lifted, level) == lift and sweep == [(-y, x) for x, y in lift[0]]:
             readings.append((shift, sheared))
     assert len(readings) == 1, readings
     return readings[0]
-
-
-def shift_of(P):
-    """The S of P.lifted."""
-    return lift_of(P)[0]
 
 
 def farey_neighbours(span, offset=0):
@@ -348,9 +345,10 @@ class TestCensusOrder:
     @settings(max_examples=200, deadline=None)
     def test_key_partition_is_the_line_partition(self, coords):
         P = PointSet.of(sorted(coords))
-        for k in range(len(P)):
-            by_key, by_triple = line_partition(P, k)
-            assert by_key == by_triple
+        for Q in (with_lift(P, kind) for kind in LIFTS):
+            for k in range(len(Q)):
+                by_key, by_triple = line_partition(Q, k)
+                assert by_key == by_triple
 
     @pytest.mark.parametrize("P", [
         parse_points(io.StringIO((Path(__file__).parent / "data" / "projection.txt").read_text())),
@@ -359,13 +357,12 @@ class TestCensusOrder:
         gen_projection_augmented(gen_random(9, 10 ** 5, 3), CanonicalLine.of(1, -13577, 10 ** 9 + 7)),
     ], ids=["golden-input", "rational-base", "random-base"])
     def test_key_partition_on_projection_sets(self, P):
-        """Scaled coordinates of hundreds of bits, where the shift comes from
-        the homogeneous bound, far below 2 * bitlen(span(Y))."""
-        pts, _, _ = P.scaled_ints
-        assert shift_of(P) < 2 * (max(y for _, y in pts) - min(y for _, y in pts)).bit_length()
-        for k in range(len(P)):
-            by_key, by_triple = line_partition(P, k)
-            assert by_key == by_triple
+        """Scaled coordinates of hundreds of bits, under each lift."""
+        for kind in LIFTS:
+            Q = with_lift(P, kind)
+            for k in range(len(Q)):
+                by_key, by_triple = line_partition(Q, k)
+                assert by_key == by_triple
         assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
             == brute_force_census(P, rich_threshold=2)
 
@@ -418,15 +415,15 @@ class TestCensusOrder:
         if len({x for x, _ in pts}) == 1:  # span(X) = 0: one vertical line
             return
         assert lift_of(P)[1]
-        (lifted, level), (plain, plain_level) = P.lifted, unsheared_lift(P)
+        (lifted, level, sweep), (plain, plain_level, plain_sweep) = P.lifted, unsheared_lift(P)
         assert level == 2 * plain_level
-        order = sorted(range(len(P)), key=lambda k: (-lifted[k][1], lifted[k][0]))
-        assert order == sorted(range(len(P)), key=lambda k: (-plain[k][1], plain[k][0]))
+        order = sorted(range(len(P)), key=sweep.__getitem__)
+        assert order == sorted(range(len(P)), key=plain_sweep.__getitem__)
         for r, u in enumerate(order):
-            (x0, y0), below = lifted[u], [k for k in order[r + 1:] if pts[k][1] < pts[u][1]]
+            x0, below = lifted[u][0], [k for k in order[r + 1:] if pts[k][1] < pts[u][1]]
             assert all(lifted[k][0] - x0 > 0 for k in below)
-            assert _slope_keys(x0, y0, [lifted[k] for k in below]) \
-                == [key + plain_level for key in _slope_keys(*plain[u], [plain[k] for k in below])]
+            assert _slope_keys(lifted[u], [lifted[k] for k in below]) \
+                == [key + plain_level for key in _slope_keys(plain[u], [plain[k] for k in below])]
         for k in range(len(P)):
             by_key, by_triple = line_partition(P, k)
             assert by_key == by_triple
@@ -442,11 +439,15 @@ class TestCensusOrder:
                                  CanonicalLine.of(1, -7, 3)),
     ], ids=["golden-input", "bounds-projection", "sheared-base"])
     def test_multi_digit_spans_are_not_sheared(self, P):
-        """The projection sets' scaled spans take many int digits, so their
-        lift is the one before the shear."""
+        """The projection sets' scaled spans take many int digits, so the
+        integer set of their scaled coordinates is not sheared; the sets
+        themselves are rational, so they take the homogeneous lift."""
         pts, _, _ = P.scaled_ints
         assert (max(y for _, y in pts) - min(y for _, y in pts)).bit_length() > BITS_PER_DIGIT
-        assert P.lifted == unsheared_lift(P)
+        scaled = PointSet.of(pts)
+        assert scaled.lifted == unsheared_lift(scaled)
+        assert lift_kind(scaled) == "plain"
+        assert lift_kind(P) == "homogeneous"
 
     def test_rows_with_and_without_a_repeated_normal(self, monkeypatch):
         """A random set plus a 5-point line: the line's first three points
@@ -468,6 +469,101 @@ class TestCensusOrder:
             assert 3 <= len(rows_counted) < len(P) - 1
         census = line_census(P, top=True)
         assert census.members[census.top] == tuple(range(40, 45))
+
+
+def projection_set(base_n, seed):
+    """A base of base_n random points and its meets with a random generic
+    line, as the benchmark makes its bounds-projection input."""
+    rng = random.Random(seed)
+    base = gen_random(base_n, 10 ** 5, rng.randrange(2 ** 32))
+    while True:
+        ell = CanonicalLine.of(1, -rng.randrange(10 ** 4, 10 ** 5), rng.randrange(10 ** 9, 10 ** 10))
+        try:
+            return gen_projection_augmented(base, ell)
+        except ValueError:  # not generic for this base
+            continue
+
+
+def gate_set(side):
+    """The CI's set on either side of the shear's gate: three 5-point lines
+    and two more points, over a Y span of 2^30 + side."""
+    span = 2 ** 30 + side
+    lo = -(span // 2)
+    mid = lo + span // 2
+    pts = {(-5, lo), (7, lo + span)}
+    for a, b, x0 in ((3, span // 8, -40), (-2, span // 6, 11), (1, -(span // 5), -3)):
+        pts |= {(x0 + a * t, mid + b * (t - 2)) for t in range(5)}
+    return PointSet.of(sorted(pts))
+
+
+class TestLifts:
+    """One kernel, three lifts: forced on the same set, each lift gives the
+    same sweep order, the census the same histogram, H, top line and
+    members, and the rich-line search the same ordinary line."""
+
+    @staticmethod
+    def reports(P, rich_threshold):
+        out = []
+        for kind in LIFTS:
+            Q = with_lift(P, kind)
+            census = line_census(Q, rich_threshold=rich_threshold, top=True)
+            try:
+                ordinary = find_ordinary_line(Q)
+            except SylvesterGallaiError as exc:
+                ordinary = str(exc)
+            order = sorted(range(len(Q)), key=Q.lifted[2].__getitem__)
+            out.append((census.count_by_mult, census.rich, census.top, census.members, ordinary,
+                        order))
+        return out
+
+    rationals = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+    # a small grid under a rational scale and offset, plus rational points:
+    # lines of 3 to 5 points, so H has edges at threshold 2
+    grids = st.builds(
+        lambda g, scale, dx, dy, extra: {(scale * x + dx, scale * y + dy)
+                                         for x in range(g) for y in range(g)} | extra,
+        st.integers(3, 5), rationals.filter(bool), rationals, rationals,
+        st.sets(st.tuples(rationals, rationals), max_size=6))
+
+    @given(st.sets(st.tuples(rationals, rationals), min_size=2, max_size=24) | grids)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_sets(self, coords):
+        P = PointSet.of(sorted(coords))
+        plain, sheared, homogeneous = self.reports(P, 2)
+        assert plain == sheared == homogeneous
+        assert census_in_p_indices(P, range(len(P)), rich_threshold=2) \
+            == brute_force_census(P, rich_threshold=2)
+
+    @pytest.mark.parametrize("base_n", [5, 8, 12, 16, 20])
+    def test_projection_sets(self, base_n):
+        P = projection_set(base_n, base_n)
+        plain, sheared, homogeneous = self.reports(P, 3)
+        assert plain == sheared == homogeneous
+        # ell holds every meet, one per base line unless two lines meet it at one point
+        count_by_mult, rich, top, members, _, _ = homogeneous
+        assert len(members[top]) == len(P) - base_n == max(count_by_mult)
+        assert sum(bits.bit_count() for bits in rich) == len(members[top]) * (len(members[top]) - 1)
+        if base_n <= 12:
+            assert census_in_p_indices(P, range(len(P)), rich_threshold=3, top=True) \
+                == brute_force_census(P, rich_threshold=3, top=True)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["sheared", "not-sheared"])
+    def test_gate_sets(self, side):
+        P = gate_set(side)
+        if BITS_PER_DIGIT == 30:
+            assert lift_kind(P) == ("sheared" if side < 0 else "plain")
+        plain, sheared, homogeneous = self.reports(P, 3)
+        assert plain == sheared == homogeneous
+        assert census_in_p_indices(P, range(len(P)), rich_threshold=3, top=True) \
+            == brute_force_census(P, rich_threshold=3, top=True)
+
+    @pytest.mark.parametrize("P", [
+        projection_set(5, 5), projection_set(13, 13),
+        PointSet.of([(0, 0), ("1/2", "1/3"), (2, "5/7"), (-1, 3)]),
+        PointSet.of([(0, 0), (1, "1/2"), (3, 5)]),
+    ], ids=["projection-5", "projection-13", "rational", "one-half"])
+    def test_rational_input_takes_the_homogeneous_lift(self, P):
+        assert lift_kind(P) == "homogeneous"
 
 
 class TestClassifyDegeneracy:
@@ -691,3 +787,18 @@ class TestPointSet:
                 make()
             assert str(info.value) == ("duplicate point at indices 0 and 2: "
                                        "Point(x=Fraction(-2, 1), y=Fraction(0, 1))")
+
+    # parse_points names the line of a bad coordinate only once one fails;
+    # PointSet.of names the point
+    @pytest.mark.parametrize("make, message", [
+        (lambda: parse_points(io.StringIO("0 0\n# note\n\n1 1.5\n")),
+         "line 4: bad coordinate '1.5' (integer or p/q rational required)"),
+        (lambda: parse_points(io.StringIO("1 2\n3/0 1 # zero denominator\n")),
+         "line 2: bad coordinate '3/0' (integer or p/q rational required)"),
+        (lambda: PointSet.of([(0, "1e3")]),
+         "point: bad coordinate '1e3' (integer or p/q rational required)"),
+    ], ids=["second-token", "first-token", "point"])
+    def test_bad_coordinate_messages(self, make, message):
+        with pytest.raises(PointFileError) as info:
+            make()
+        assert str(info.value) == message

@@ -17,8 +17,10 @@ import pytest
 
 import ordtri.cli
 import ordtri.incidence
-from ordtri.generators import gen_random, gen_two_line_union
+from ordtri.geom import CanonicalLine
+from ordtri.generators import gen_projection_augmented, gen_random, gen_two_line_union
 from ordtri.pointfile import format_points
+from reference import lift_kind
 
 DATA = Path(__file__).parent / "data"
 WATCHED = {"line_census": ordtri.incidence, "_scaled_line_key": ordtri.incidence}
@@ -87,6 +89,22 @@ def run(capsys, monkeypatch, *argv):
 def test_one_census_and_no_pair_kernel(capsys, monkeypatch, calls, argv, case):
     report = run(capsys, monkeypatch, *argv)
     assert report.get("case_taken") == case
+    assert calls == {"line_census": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze",), ("find", "--c", "3", "--mode", "count"), ("find", "--c", "3", "--mode", "exhaustive"),
+    ("verify-bounds", "--c", "3"),
+], ids=["analyze", "count", "exhaustive", "verify-bounds"])
+def test_one_census_on_the_homogeneous_lift(capsys, monkeypatch, calls, tmp_path, argv):
+    """A projection set on a 13-point random base, rational input whose
+    scaled coordinates have about 2,000 bits: its census keys pairs on the
+    homogeneous lift, still in one pass."""
+    P = gen_projection_augmented(gen_random(13, 10 ** 5, 7), CanonicalLine.of(1, -13577, 10 ** 9 + 7))
+    assert lift_kind(P) == "homogeneous"
+    path = tmp_path / "projection.txt"
+    path.write_text(format_points(P))
+    run(capsys, monkeypatch, argv[0], str(path), *argv[1:])
     assert calls == {"line_census": 1}
 
 

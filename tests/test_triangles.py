@@ -43,6 +43,7 @@ from reference import (
     points_on_line,
     top_line,
     validate_c_ordinary,
+    with_lift,
 )
 
 GRID3 = gen_grid(3)
@@ -193,14 +194,16 @@ class TestPoorGraph:
         # two lines in one group, which the census refuses.  The fault folds
         # every key about the key of a vertical line (points 0 and 6): 0 on
         # the 6x6 grid, and L on the grid stretched along x, whose lift is
-        # sheared (PointSet.lifted) so that every key is positive
+        # sheared (PointSet.lifted) so that every key is positive; 0 again
+        # on the grid under the homogeneous lift, the triples (X, Y, W)
         real = ordtri.incidence._slope_keys
         grid = gen_grid(6)
-        for P in (grid, PointSet.of([(x << 25, y) for x, _, y, _ in grid.rows])):
+        for P in (grid, PointSet.of([(x << 25, y) for x, _, y, _ in grid.rows]),
+                  with_lift(grid, "homogeneous")):
             rep = find_c_ordinary(P, 3, mode="exhaustive")
             assert rep.count == len(rep.triangles) == enumerate_all_c_ordinary(P, 3)[0]
-            lifted, _ = P.lifted
-            vertical = real(*lifted[6], [lifted[0]])[0]
+            lifted = P.lifted[0]
+            vertical = real(lifted[6], [lifted[0]])[0]
             monkeypatch.setattr(ordtri.incidence, "_slope_keys", lambda *args: [
                 vertical + abs(key - vertical) for key in real(*args)])
             with pytest.raises(InvariantError, match="is grouped on the line through"):
