@@ -95,8 +95,7 @@ def _bound_json(r) -> dict:
         "vacuous": r.vacuous,
     }
     if r.details:
-        out["details"] = {k: (v if isinstance(v, (int, bool)) else format_coord(v))
-                          for k, v in r.details.items()}
+        out["details"] = r.details  # every value an int
     return out
 
 

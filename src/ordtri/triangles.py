@@ -19,6 +19,7 @@ from .incidence import (
     InvariantError,
     LineCensus,
     PointSet,
+    _slope_keys,
     classify_degeneracy,
     line_census,
 )
@@ -125,23 +126,22 @@ def build_poor_graph(P: PointSet, census: LineCensus, c: int) -> list[int]:
 def find_case_poor_graph(P: PointSet, census: LineCensus, c: int,
                          limit: int | None = None
                          ) -> tuple[list[tuple[int, int, int]], int]:
-    """List the poor-graph triangles i < j < k in ascending order, k from
-    the forward bitsets of i and j, dropping collinear triples, up to limit
-    of them; the count of c-ordinary triangles comes from count_c_ordinary
-    on the same census, and both from its rich-pair graph H.  A listing
-    that ran to its end must match that count."""
+    """List the poor-graph triangles i < j < k in ascending order, k from the
+    forward bitsets of i and j, up to limit of them, dropping k iff it is on
+    the line through i and j: iff its slope key through i, the census's
+    (PointSet.lifted), is j's.  The count comes from count_c_ordinary on the
+    same census; a listing that ran to its end must match it."""
     later = build_poor_graph(P, census, c)
     count = count_c_ordinary(P, c, census)
-    pts, _, _ = P.scaled_ints
+    lifted, level, _ = P.lifted
 
     def listed():
         for i, later_i in enumerate(later):
-            xi, yi = pts[i]
-            for j in _bit_indices(later_i):
-                dxj = pts[j][0] - xi
-                dyj = pts[j][1] - yi
+            js = list(_bit_indices(later_i))  # i's neighbours in G above it
+            key = dict(zip(js, _slope_keys(lifted[i], [lifted[j] for j in js], level)))
+            for j in js:
                 for k in _bit_indices(later_i & later[j]):
-                    if dxj * (pts[k][1] - yi) != dyj * (pts[k][0] - xi):
+                    if key[k] != key[j]:  # k is off the line through i and j
                         yield (i, j, k)
 
     out = list(islice(listed(), limit))

@@ -24,6 +24,7 @@ from ordtri.incidence import (
     line_census,
 )
 from ordtri.richline import find_ordinary_line
+from ordtri.triangles import find_case_poor_graph
 import ordtri.geom
 import ordtri.incidence
 from ordtri.generators import (
@@ -499,7 +500,8 @@ def gate_set(side):
 class TestLifts:
     """One kernel, three lifts: forced on the same set, each lift gives the
     same sweep order, the census the same histogram, H, top line and
-    members, and the rich-line search the same ordinary line."""
+    members, the rich-line search the same ordinary line, and the
+    poor-graph listing the same triangles."""
 
     @staticmethod
     def reports(P, rich_threshold):
@@ -513,7 +515,7 @@ class TestLifts:
                 ordinary = str(exc)
             order = sorted(range(len(Q)), key=Q.lifted[2].__getitem__)
             out.append((census.count_by_mult, census.rich, census.top, census.members, ordinary,
-                        order))
+                        order, find_case_poor_graph(Q, census, rich_threshold)))
         return out
 
     rationals = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
@@ -540,7 +542,7 @@ class TestLifts:
         plain, sheared, homogeneous = self.reports(P, 3)
         assert plain == sheared == homogeneous
         # ell holds every meet, one per base line unless two lines meet it at one point
-        count_by_mult, rich, top, members, _, _ = homogeneous
+        count_by_mult, rich, top, members, _, _, _ = homogeneous
         assert len(members[top]) == len(P) - base_n == max(count_by_mult)
         assert sum(bits.bit_count() for bits in rich) == len(members[top]) * (len(members[top]) - 1)
         if base_n <= 12:

@@ -6,18 +6,20 @@ package, so a call through any import counts.  No command uses the pair
 kernel: only the tests' brute-force oracle keys pairs one at a time.  The
 rich-line path's search for an ordinary line off the rich line groups the
 pairs of its rows as the census does, by `_slope_keys`; it typically stops
-in its first row, which the count of computed keys checks.
+in its first row, which the count of computed keys checks.  The
+poor-graph listing keys each edge of the poor graph once, by `_slope_keys`.
 """
 import json
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import ordtri.cli
 import ordtri.incidence
-from ordtri.geom import CanonicalLine
+from ordtri.geom import CanonicalLine, PointSet
 from ordtri.generators import gen_projection_augmented, gen_random, gen_two_line_union
 from ordtri.pointfile import format_points
 from reference import lift_kind
@@ -106,6 +108,35 @@ def test_one_census_on_the_homogeneous_lift(capsys, monkeypatch, calls, tmp_path
     path.write_text(format_points(P))
     run(capsys, monkeypatch, argv[0], str(path), *argv[1:])
     assert calls == {"line_census": 1}
+
+
+@pytest.mark.parametrize("argv", [("--mode", "exhaustive"), ()], ids=["exhaustive", "fast"])
+def test_poor_graph_listing_keys_each_edge_once_on_the_census_lift(capsys, monkeypatch, calls,
+                                                                  keys, tmp_path, argv):
+    """The listing decides collinearity by the census's slope keys: each
+    row keys its neighbours above it in G once, so a run computes the
+    census's C(n, 2) keys, the input having no two points level, and one
+    per edge of G, |G| = sum over l <= c of C(l, 2) N_l.  The input is
+    rational, keyed on the homogeneous lift, and nothing reads its scaled
+    integer coordinates.  Its top line is not above alpha*n, so fast mode
+    falls back to the listing before any rich-line search."""
+    P = gen_projection_augmented(gen_random(13, 10 ** 5, 7), CanonicalLine.of(1, -13577, 10 ** 9 + 7))
+    n = len(P)
+    assert lift_kind(P) == "homogeneous"
+    assert len({row[2:] for row in P.rows}) == n
+    path = tmp_path / "projection.txt"
+    path.write_text(format_points(P))
+
+    def unread(self):
+        raise AssertionError("scaled_ints read on rational input")
+
+    monkeypatch.setattr(PointSet, "scaled_ints", property(unread))
+    report = run(capsys, monkeypatch, "find", str(path), "--c", "3", *argv)
+    assert report["case_taken"] == "PoorGraph"
+    assert calls == {"line_census": 1}
+    f = dict(report["spectrum"])
+    poor_edges = sum(comb(l, 2) * (f[l] - f.get(l + 1, 0)) for l in f if l <= 3)
+    assert keys["keys"] == comb(n, 2) + poor_edges
 
 
 def test_rich_line_path_censuses_p_and_the_points_off_the_line(capsys, monkeypatch, calls):
