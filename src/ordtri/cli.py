@@ -7,6 +7,14 @@ Exit codes: 0 ok/found, 3 no triangle exists (find), 2 input error,
 141 stdout closed early (broken pipe, 128 + SIGPIPE).  An unwritable
 stderr does not change the exit code.
 
+The CLI is described once, in the command table _COMMANDS.  main matches a
+well-formed argv against it with _match, which needs no argparse;
+argparse, built from the same table by build_parser, runs only for --help
+and for the argv the matcher leaves, so it writes every help text and
+usage error.  Reports come from _dump, a small writer whose output is
+json.dumps(report, indent=2) byte for byte; it imports json only to escape
+a string that needs it.
+
 A command imports only what it runs: the generate and verify-bounds
 handlers live in cli_gen_bounds, which main imports only for those two
 commands, and bounds and generators are imported inside the one command
@@ -17,12 +25,11 @@ after it; main() returns its exit code as usual to in-process callers.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from math import comb
+from math import comb, isfinite
+from types import SimpleNamespace
 
 from . import triangles
 from .incidence import (
@@ -56,7 +63,48 @@ def _degeneracy_json(cls) -> dict:
 
 def _emit(report: dict, started: float) -> None:
     report["timing_seconds"] = round(time.perf_counter() - started, 6)
-    _write(json.dumps(report, indent=2) + "\n")  # json.dump writes per token
+    _write(_dump(report) + "\n")
+
+
+def _dump(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, for the values a
+    report holds: dicts with str keys, lists and tuples, str, int, bool,
+    None and finite floats.  indent is the newline and indentation of
+    value's own depth; its items go two spaces deeper."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"report value {value!r} is not a finite float")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_string(k)}: {_dump(v, inner)}" for k, v in value.items()]
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + f",{inner}".join([_dump(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _string(text: str) -> str:
+    """text as a JSON string literal, ASCII only, as json.dumps writes it.
+    json is imported only for text that is not plain printable ASCII free
+    of quotes and backslashes, which needs escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
 
 
 def _write(text: str) -> None:
@@ -158,53 +206,132 @@ def _deferred(name: str):
     return run
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INPUT = "point file path, or - for stdin"
+
+# The CLI, described once: each command's help, the help of its one
+# positional (input; None where it takes none), its handler, and its
+# options as (flag, add_argument keywords).  build_parser hands the
+# keywords to argparse as they are, and _match reads the same ones: type
+# (int, or absent for the string itself), choices, default, required and
+# action (store_true, append, or absent for a plain store).
+_COMMANDS = {
+    "generate": ("emit a point file on stdout", None, _deferred("cmd_generate"), (
+        ("--kind", {"required": True, "choices": ["grid", "random", "two-line", "rich-line",
+                                                  "projection", "cubic"]}),
+        ("--size", {"type": int, "help": "grid side length"}),
+        ("--n", {"type": int, "help": "random: number of points"}),
+        ("--bound", {"type": int, "help": "random: coordinate bound"}),
+        ("--seed", {"type": int, "help": "random: RNG seed"}),
+        ("--n1", {"type": int, "help": "two-line: points on y=0"}),
+        ("--n2", {"type": int, "help": "two-line: points on x=0"}),
+        ("--k", {"type": int, "help": "rich-line: points on the x-axis"}),
+        ("--extra", {"action": "append", "metavar": "X,Y",
+                     "help": "rich-line: off-axis point (repeatable)"}),
+        ("--m", {"type": int, "help": "cubic: parameter range [-m, m]"}),
+        ("--input", {"help": "projection: base point file"}),
+        ("--line", {"metavar": "A,B,C", "help": "projection: augmentation line a,b,c"}),
+    )),
+    "analyze": ("incidence structure report", _INPUT, cmd_analyze, ()),
+    "find": ("find/count c-ordinary triangles", _INPUT, cmd_find, (
+        ("--c", {"type": int, "default": triangles.DEFAULT_CONSTANTS.c}),
+        ("--c-prime", {"type": int, "default": triangles.DEFAULT_C_PRIME}),
+        ("--mode", {"choices": ["fast", "exhaustive", "count"], "default": "fast"}),
+        ("--limit", {"type": int, "default": None,
+                     "help": "cap on the listed (not counted) triangles"}),
+        ("--allow-small-c", {
+            "action": "store_true",
+            "help": "permit c < 3 with --mode exhaustive (research escape hatch)"}),
+    )),
+    "verify-bounds": ("check the supporting bounds", _INPUT, _deferred("cmd_verify_bounds"), (
+        ("--c", {"type": int, "default": triangles.DEFAULT_CONSTANTS.c}),
+        ("--c-prime", {"type": int, "default": triangles.DEFAULT_C_PRIME}),
+    )),
+}
+
+
+def build_parser():
+    """The argparse.ArgumentParser of the command table.  main builds it only
+    for the argv _match leaves (--help and everything else), so argparse
+    writes every help text and usage error."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="ordtri",
                                  description="c-ordinary triangle toolkit (exact arithmetic)")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    gen = sub.add_parser("generate", help="emit a point file on stdout")
-    gen.add_argument("--kind", required=True,
-                     choices=["grid", "random", "two-line", "rich-line", "projection", "cubic"])
-    gen.add_argument("--size", type=int, help="grid side length")
-    gen.add_argument("--n", type=int, help="random: number of points")
-    gen.add_argument("--bound", type=int, help="random: coordinate bound")
-    gen.add_argument("--seed", type=int, help="random: RNG seed")
-    gen.add_argument("--n1", type=int, help="two-line: points on y=0")
-    gen.add_argument("--n2", type=int, help="two-line: points on x=0")
-    gen.add_argument("--k", type=int, help="rich-line: points on the x-axis")
-    gen.add_argument("--extra", action="append", metavar="X,Y",
-                     help="rich-line: off-axis point (repeatable)")
-    gen.add_argument("--m", type=int, help="cubic: parameter range [-m, m]")
-    gen.add_argument("--input", help="projection: base point file")
-    gen.add_argument("--line", metavar="A,B,C", help="projection: augmentation line a,b,c")
-    gen.set_defaults(func=_deferred("cmd_generate"))
-
-    ana = sub.add_parser("analyze", help="incidence structure report")
-    ana.add_argument("input", help="point file path, or - for stdin")
-    ana.set_defaults(func=cmd_analyze)
-
-    fnd = sub.add_parser("find", help="find/count c-ordinary triangles")
-    fnd.add_argument("input", help="point file path, or - for stdin")
-    fnd.add_argument("--c", type=int, default=triangles.DEFAULT_CONSTANTS.c)
-    fnd.add_argument("--c-prime", type=int, default=triangles.DEFAULT_C_PRIME)
-    fnd.add_argument("--mode", choices=["fast", "exhaustive", "count"], default="fast")
-    fnd.add_argument("--limit", type=int, default=None,
-                     help="cap on the listed (not counted) triangles")
-    fnd.add_argument("--allow-small-c", action="store_true",
-                     help="permit c < 3 with --mode exhaustive (research escape hatch)")
-    fnd.set_defaults(func=cmd_find)
-
-    ver = sub.add_parser("verify-bounds", help="check the supporting bounds")
-    ver.add_argument("input", help="point file path, or - for stdin")
-    ver.add_argument("--c", type=int, default=triangles.DEFAULT_CONSTANTS.c)
-    ver.add_argument("--c-prime", type=int, default=triangles.DEFAULT_C_PRIME)
-    ver.set_defaults(func=_deferred("cmd_verify_bounds"))
+    for name, (summary, positional, func, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=summary)
+        if positional is not None:
+            cmd.add_argument("input", help=positional)
+        for flag, keywords in options:
+            cmd.add_argument(flag, **keywords)
+        cmd.set_defaults(func=func)
     return ap
 
 
+def _match(argv):
+    """The namespace build_parser().parse_args(argv) returns, for an argv this
+    strict matcher can prove well-formed; None for any other, which argparse
+    then parses or refuses.  Well-formed: an exact command name first, then
+    exact long option names, as --opt v or --opt=v (a store_true option
+    without a value), and the command's one positional, which may be -.  No
+    value is empty, and neither a value given as a token of its own nor the
+    positional starts with - (the positional - aside): argparse classes
+    such tokens by rules of its own.  Values go through the option's type
+    and choices as in argparse, and every required option must be given."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, positional, func, options = command
+    spec = {flag: (flag[2:].replace("-", "_"), keywords) for flag, keywords in options}
+    args = {"cmd": argv[0], "func": func}
+    for dest, keywords in spec.values():
+        store_true = keywords.get("action") == "store_true"
+        args[dest] = keywords.get("default", False if store_true else None)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or token[:1] != "-":
+            if positional is None or "input" in seen or not token:
+                return None
+            args["input"] = token
+            seen.add("input")
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in spec:
+            return None
+        dest, keywords = spec[flag]
+        seen.add(dest)
+        action = keywords.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            args[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+            if value[:1] == "-":
+                return None
+        if not value:
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = [*(args[dest] or ()), value] if action == "append" else value
+    if positional is not None and "input" not in seen:
+        return None
+    if any(keywords.get("required") and dest not in seen for dest, keywords in spec.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _match(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -55,7 +55,7 @@ def cmd_generate(args) -> int:
         P = generators.gen_projection_augmented(base, ell)
     elif kind == "cubic":
         P = generators.gen_cubic_progression(_require(args, "m"))
-    else:  # argparse choices make this unreachable
+    else:  # --kind's choices make this unreachable
         raise ValueError(f"unknown kind {kind!r}")
     _write(pointfile.format_points(P))
     return 0

@@ -41,7 +41,8 @@ class Constants(namedtuple("Constants", "c c_prime")):
         return super().__new__(cls, c, c_prime)
 
     @property
-    def alpha(self) -> Fraction:
+    def alpha(self):
+        """alpha = 4/(c+1), a fractions.Fraction."""
         from fractions import Fraction
 
         return Fraction(4, self.c + 1)

@@ -22,6 +22,9 @@ tests check it against:
 - ``with_lift`` forces one of the three lifts of ``PointSet.lifted`` on a
   set, whatever the package would pick, and ``lift_kind`` names the
   lift a set took;
+- ``build_parser`` declares the CLI's argparse parser argument by
+  argument, where the package builds it from its command table and
+  parses well-formed command lines without argparse;
 - ``point``, ``orientation``, ``line_through``, ``incident``, ``intersect``
   and ``DegeneratePairError`` are the predicates on ``Point``s of
   ``Fraction``s that the package answered with before it held integer rows,
@@ -30,6 +33,7 @@ tests check it against:
 """
 from __future__ import annotations
 
+import argparse
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +42,8 @@ from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 from typing import Optional
 
+from ordtri import triangles
+from ordtri.cli import _deferred, cmd_analyze, cmd_find
 from ordtri.geom import CanonicalLine, Point
 from ordtri.incidence import (
     InvariantError,
@@ -383,3 +389,50 @@ def lift_kind(P: PointSet) -> str:
     if len(kinds) != 1:
         raise AssertionError(f"P.lifted is {kinds or 'none'} of the lifts")
     return kinds[0]
+
+
+# --- the CLI's parser, declared by hand --------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="ordtri",
+                                 description="c-ordinary triangle toolkit (exact arithmetic)")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+
+    gen = sub.add_parser("generate", help="emit a point file on stdout")
+    gen.add_argument("--kind", required=True,
+                     choices=["grid", "random", "two-line", "rich-line", "projection", "cubic"])
+    gen.add_argument("--size", type=int, help="grid side length")
+    gen.add_argument("--n", type=int, help="random: number of points")
+    gen.add_argument("--bound", type=int, help="random: coordinate bound")
+    gen.add_argument("--seed", type=int, help="random: RNG seed")
+    gen.add_argument("--n1", type=int, help="two-line: points on y=0")
+    gen.add_argument("--n2", type=int, help="two-line: points on x=0")
+    gen.add_argument("--k", type=int, help="rich-line: points on the x-axis")
+    gen.add_argument("--extra", action="append", metavar="X,Y",
+                     help="rich-line: off-axis point (repeatable)")
+    gen.add_argument("--m", type=int, help="cubic: parameter range [-m, m]")
+    gen.add_argument("--input", help="projection: base point file")
+    gen.add_argument("--line", metavar="A,B,C", help="projection: augmentation line a,b,c")
+    gen.set_defaults(func=_deferred("cmd_generate"))
+
+    ana = sub.add_parser("analyze", help="incidence structure report")
+    ana.add_argument("input", help="point file path, or - for stdin")
+    ana.set_defaults(func=cmd_analyze)
+
+    fnd = sub.add_parser("find", help="find/count c-ordinary triangles")
+    fnd.add_argument("input", help="point file path, or - for stdin")
+    fnd.add_argument("--c", type=int, default=triangles.DEFAULT_CONSTANTS.c)
+    fnd.add_argument("--c-prime", type=int, default=triangles.DEFAULT_C_PRIME)
+    fnd.add_argument("--mode", choices=["fast", "exhaustive", "count"], default="fast")
+    fnd.add_argument("--limit", type=int, default=None,
+                     help="cap on the listed (not counted) triangles")
+    fnd.add_argument("--allow-small-c", action="store_true",
+                     help="permit c < 3 with --mode exhaustive (research escape hatch)")
+    fnd.set_defaults(func=cmd_find)
+
+    ver = sub.add_parser("verify-bounds", help="check the supporting bounds")
+    ver.add_argument("input", help="point file path, or - for stdin")
+    ver.add_argument("--c", type=int, default=triangles.DEFAULT_CONSTANTS.c)
+    ver.add_argument("--c-prime", type=int, default=triangles.DEFAULT_C_PRIME)
+    ver.set_defaults(func=_deferred("cmd_verify_bounds"))
+    return ap

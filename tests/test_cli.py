@@ -471,8 +471,11 @@ class TestStartup:
     # interpreter's site setup loaded before the first statement (typing on
     # some hosts), which is the `python -c pass` baseline.  Default find on
     # the 3x3 grid takes the rich-line path and excludes the crossing point
-    # of its ordinary line
+    # of its ordinary line.  A well-formed command line is matched from the
+    # command table and its report written by cli._dump, so no command
+    # loads argparse, nor gettext and locale, which argparse loads, nor json
     EXACT = {"fractions", "decimal", "_decimal"}
+    PARSER = {"argparse", "gettext", "locale", "json"}
 
     def loaded_by(self, script, *argv):
         """The exit codes printed by script, run as a child with the paths
@@ -507,7 +510,7 @@ class TestStartup:
         assert {"ordtri.triangles", "ordtri.richline"} <= loaded
         unused = {"dataclasses", "inspect", "logging", "ordtri.bounds", "ordtri.generators",
                   "ordtri.cli_gen_bounds"}
-        assert not (unused | self.EXACT) & loaded
+        assert not (unused | self.EXACT | self.PARSER) & loaded
 
     def test_integer_commands_make_no_fraction(self, grid_file, tmp_path):
         # the points are read into integer rows, so count, exhaustive and
@@ -522,7 +525,8 @@ class TestStartup:
             "    ['find', path, '--c', '3', '--mode', 'exhaustive'],\n"
             "    ['analyze', path])]\n", grid_file, str(rational))
         assert codes == "0 0 0 0 0 0" and out.count('"command": "analyze"') == 2
-        assert not (self.EXACT | {"ordtri.richline", "ordtri.cli_gen_bounds"}) & loaded
+        unused = {"ordtri.richline", "ordtri.cli_gen_bounds"}
+        assert not (unused | self.EXACT | self.PARSER) & loaded
 
     def test_generate_projection_makes_no_fraction(self, tmp_path):
         # the --line triple is reduced in ints, and each meet is made as its
@@ -537,7 +541,7 @@ class TestStartup:
             "         for path, line in zip(sys.argv[1::2], sys.argv[2::2])]\n",
             integer, "-2,27154,-2000000014", str(rational), "3,-2,1")
         assert codes == "0 0" and len(out.splitlines()) == (12 + 66) + (6 + 15)
-        assert "ordtri.generators" in loaded and not self.EXACT & loaded
+        assert "ordtri.generators" in loaded and not (self.EXACT | self.PARSER) & loaded
 
     def test_generate_rich_line_makes_no_fraction(self):
         # the --extra points are checked and held as integer rows
@@ -545,7 +549,8 @@ class TestStartup:
             "codes = [cli.main(['generate', '--kind', 'rich-line', '--k', '4',\n"
             "                   '--extra', '1/2,1/3', '--extra', '0,1'])]\n")
         assert codes == "0" and out == "0 0\n1 0\n2 0\n3 0\n1/2 1/3\n0 1\n"
-        assert "ordtri.generators" in loaded and not (self.EXACT | {"numbers"}) & loaded
+        assert "ordtri.generators" in loaded
+        assert not (self.EXACT | self.PARSER | {"numbers"}) & loaded
 
     def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file):
         codes, loaded, out = self.loaded_by(
@@ -553,7 +558,22 @@ class TestStartup:
             "         cli.main(['generate', '--kind', 'grid', '--size', '3'])]\n", grid_file)
         assert codes == "0 0" and out.count('"command": "verify-bounds"') == 1
         assert {"ordtri.bounds", "ordtri.cli_gen_bounds", "ordtri.generators"} <= loaded
-        assert "ordtri.richline" not in loaded
+        assert not ({"ordtri.richline"} | self.PARSER) & loaded
+
+    def test_help_and_usage_errors_go_through_argparse(self, grid_file):
+        codes, loaded, out = self.loaded_by(
+            "import contextlib, io\n"
+            "codes, err = [], io.StringIO()\n"
+            "for argv in (['--help'], ['find', sys.argv[1], '--c', 'three']):\n"
+            "    try:\n"
+            "        with contextlib.redirect_stderr(err):\n"
+            "            cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(err.getvalue(), end='')\n", grid_file)
+        assert codes == "0 2" and "argparse" in loaded
+        assert out.startswith("usage: ordtri [-h] {generate,analyze,find,verify-bounds}")
+        assert out.endswith("ordtri find: error: argument --c: invalid int value: 'three'\n")
 
 
 class TestExitPaths:

@@ -1,8 +1,10 @@
 """The package's lazy exports and the value types behind them."""
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,3 +104,22 @@ def test_mutable_defaults_are_fresh():
     reports = [ordtri.BoundReport("b", "n=2", Fraction(0), Fraction(1), True) for _ in range(2)]
     assert reports[0].details == {} and reports[0].details is not reports[1].details
     assert not reports[0].vacuous
+
+
+def annotated(obj):
+    """obj and, for a class, the functions defined in its body: methods,
+    static and class methods, and property getters."""
+    yield obj
+    for attr in vars(obj).values() if isinstance(obj, type) else ():
+        fn = getattr(attr, "fget", getattr(attr, "__func__", attr))
+        if inspect.isfunction(fn):
+            yield fn
+
+
+@pytest.mark.parametrize("name", sorted(ordtri.__all__))
+def test_every_public_annotation_resolves(name):
+    # the annotations are strings (from __future__ import annotations), so
+    # one that names what its module never binds fails only when read
+    for obj in annotated(getattr(ordtri, name)):
+        if callable(obj):
+            typing.get_type_hints(obj)
