@@ -16,23 +16,26 @@ from fractions import Fraction
 from math import comb
 
 from .incidence import InvariantError
-from .triangles import Constants, exceeds_alpha_n
+from .triangles import DEFAULT_C_PRIME, Constants, exceeds_alpha_n
 
 
-class BoundReport(namedtuple("BoundReport",
-                             "name instance checked threshold satisfied vacuous details")):
+class BoundReport(namedtuple("BoundReport", "name instance checked threshold vacuous details")):
     """checked is the exact quantity on the constrained side, threshold the
-    exact bound it must respect; vacuous marks a threshold direction met
-    trivially (e.g. a negative lower bound); details is a new empty dict by
-    default."""
+    exact bound it must respect, and the bound is satisfied iff
+    checked <= threshold; vacuous marks a threshold direction met trivially
+    (e.g. a negative lower bound); details is a new empty dict by default."""
     __slots__ = ()
 
-    def __new__(cls, name, instance, checked, threshold, satisfied, vacuous=False, details=None):
-        return super().__new__(cls, name, instance, checked, threshold, satisfied, vacuous,
+    def __new__(cls, name, instance, checked, threshold, vacuous=False, details=None):
+        return super().__new__(cls, name, instance, checked, threshold, vacuous,
                                {} if details is None else details)
 
+    @property
+    def satisfied(self) -> bool:
+        return self.checked <= self.threshold
 
-def st_threshold(n: int, k: int, c_prime: int = 125) -> Fraction:
+
+def st_threshold(n: int, k: int, c_prime: int = DEFAULT_C_PRIME) -> Fraction:
     """Upper bound on f(k): c'*n^2/k^3 for k <= sqrt(n), else c'*n/k.
 
     The branch test k <= sqrt(n) is evaluated as k*k <= n.
@@ -44,7 +47,7 @@ def st_threshold(n: int, k: int, c_prime: int = 125) -> Fraction:
     return Fraction(c_prime * n, k)
 
 
-def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = 125
+def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = DEFAULT_C_PRIME
              ) -> list[BoundReport]:
     """f(k) <= st_threshold(n, k, c') for every (k, f(k)) of the spectrum of
     an n-point set, k = 2 up to the max multiplicity.
@@ -62,7 +65,6 @@ def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = 125
             instance=f"n={n}",
             checked=Fraction(fk),
             threshold=thr,
-            satisfied=fk <= thr,
         ))
     return reports
 
@@ -75,14 +77,13 @@ def check_incidence_bound(n: int, m: int, inc: int) -> BoundReport:
     the cube of 2D <= 5*(mn)^(2/3); no float enters the comparison.
     """
     excess = inc - m - n
-    satisfied = excess <= 0 or 8 * excess ** 3 <= 125 * (m * n) ** 2
-    # report threshold as the cubed comparison to stay exact
+    # report threshold as the cubed comparison to stay exact; at D <= 0 the
+    # checked side is 0, so the verdict holds
     return BoundReport(
         name="point-line incidences",
         instance=f"n={n} m={m}",
         checked=Fraction(8 * max(excess, 0) ** 3),
         threshold=Fraction(125 * (m * n) ** 2),
-        satisfied=satisfied,
         details={"incidences": inc, "excess_over_m_plus_n": excess},
     )
 
@@ -105,7 +106,6 @@ def check_eg(n: int, m: int, t3: int, instance: str = "") -> BoundReport:
         instance=instance or f"n={n} m={m}",
         checked=lower,
         threshold=Fraction(t3),
-        satisfied=lower <= t3,
         vacuous=lower <= 0,
         details={"triangles": t3},
     )
@@ -137,14 +137,11 @@ def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
     instance = f"n={n} c={c} c'={c_prime}"
     reports = [
         BoundReport(name="medium-line pair sum", instance=instance,
-                    checked=Fraction(combined), threshold=24 * unit,
-                    satisfied=combined <= 24 * unit),
+                    checked=Fraction(combined), threshold=24 * unit),
         BoundReport(name="medium-line pair sum (below sqrt n)", instance=instance,
-                    checked=Fraction(low), threshold=8 * unit,
-                    satisfied=low <= 8 * unit),
+                    checked=Fraction(low), threshold=8 * unit),
         BoundReport(name="medium-line pair sum (above sqrt n)", instance=instance,
-                    checked=Fraction(high), threshold=16 * unit,
-                    satisfied=high <= 16 * unit),
+                    checked=Fraction(high), threshold=16 * unit),
     ]
     # corollary on the poor-graph edge count
     poor_edges = sum(comb(l, 2) * k for l, k in count_by_mult.items() if l <= c)
@@ -152,7 +149,6 @@ def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
     reports.append(BoundReport(
         name="poor-graph edge floor", instance=instance,
         checked=floor_edges, threshold=Fraction(poor_edges),
-        satisfied=poor_edges >= floor_edges,
         vacuous=floor_edges <= 0,
         details={"poor_edges": poor_edges}))
     return reports

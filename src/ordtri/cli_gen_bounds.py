@@ -8,24 +8,22 @@ then.
 """
 from __future__ import annotations
 
-import re
 import time
 
 from . import incidence, pointfile, triangles
 from .cli import REPORT_VERSION, _emit, _read_points, _write
 from .geom import CanonicalLine
-from .pointfile import PointFileError, _parse_coord, _ratio_text
+from .pointfile import _COORD, PointFileError, _parse_coord, _ratio_text
 from .triangles import Constants
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # a coordinate's numerator, for fullmatch
 
 
 # --- generate ---------------------------------------------------------------
 
 def _parse_line_triple(text: str) -> CanonicalLine:
-    """An --line A,B,C triple, each an integer in the point-file grammar."""
+    """An --line A,B,C triple, each an integer in the point-file grammar:
+    a coordinate token without a denominator."""
     toks = text.split(",")
-    if len(toks) != 3 or not all(map(_INTEGER.fullmatch, toks)):
+    if len(toks) != 3 or not all(m and m[2] is None for m in map(_COORD.fullmatch, toks)):
         raise PointFileError(f"bad line triple {text!r}: expected three integers A,B,C")
     try:
         return CanonicalLine.of(*map(int, toks))

@@ -1,5 +1,6 @@
 """The rich-line case of the finder: the Sylvester-Gallai ordinary-line
-search, the pencil of lines through one point, and the rich-line witness.
+search and the rich-line witness, which reads every line multiplicity it
+needs from the census it is given.
 
 find_c_ordinary imports this module in fast mode only, so count, exhaustive
 and verify-bounds do not compile it.  It is imported on first use, so the
@@ -27,16 +28,6 @@ class RichCaseWitness(namedtuple("RichCaseWitness",
     triangles (survivors), and the proven lower bound ceil(l/2) - 1
     (guarantee)."""
     __slots__ = ()
-
-
-def _pencil(P: PointSet, k: int) -> tuple[list[int | None], dict[int, int]]:
-    """The lines through point k: the slope key toward every point (None at
-    k itself) and the multiplicity of each line, in O(n)."""
-    lifted, level, _ = P.lifted
-    toward = incidence._slope_keys(lifted[k], lifted[:k] + lifted[k + 1:], level)
-    mult = {key: size + 1 for key, size in Counter(toward).items()}
-    toward.insert(k, None)
-    return toward, mult
 
 
 def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
@@ -75,8 +66,9 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
     """Rich-line path on the census's top line: take the ordinary line (q, r)
     of the points off the rich line through their first such index pair
     (find_ordinary_line), exclude the rich-line points whose connection to
-    q or r is itself too rich, and pair every survivor with (q, r).  census
-    must come from line_census(P, top=True).
+    q or r is itself too rich (bit set in the census's rich-pair graph H),
+    and pair every survivor with (q, r).  census must come from
+    line_census(P, rich_threshold=c, top=True).
 
     Emits at least max(ceil(l/2) - 1, 1) validated triangles, where l is the
     rich line's multiplicity; the exclusion sets are each strictly below l/4.
@@ -94,17 +86,18 @@ def find_case_rich_line(P: PointSet, census: LineCensus, c: int
         _, qi, ri = find_ordinary_line(P, [i for i in range(n) if i not in on_set])
     except SylvesterGallaiError as exc:
         raise RichCasePreconditionError(f"remainder off the rich line: {exc}") from exc
-    toward_q, mult_q = _pencil(P, qi)
-    toward_r, mult_r = _pencil(P, ri)
     # the ordinary line picks up at most the one point where it crosses the
     # rich line, so its multiplicity in P is <= 3 and the qr side is safe
-    if mult_q[toward_q[ri]] > 3:
+    a, b, d = incidence._cross(P.homogeneous, qi, ri)
+    on_qr = {k for k, (x, y, w) in enumerate(P.homogeneous) if a * x + b * y + d * w == 0}
+    if len(on_qr) > 3:
         raise InvariantError("ordinary line of the remainder has extra points")
-    too_rich_q = {i for i in on_idx if mult_q[toward_q[i]] > c}
-    too_rich_r = {i for i in on_idx if mult_r[toward_r[i]] > c}
-    crossing = {i for i in on_idx if toward_q[i] == toward_q[ri]}
+    crossing = on_set & on_qr
     if len(crossing) > 1:
         raise InvariantError("the ordinary line meets the rich line twice")
+    h = triangles._rich_pairs(P, census, c)  # bit i of h[k]: line ki holds > c points
+    too_rich_q = {i for i in on_idx if h[qi] >> i & 1}
+    too_rich_r = {i for i in on_idx if h[ri] >> i & 1}
     # exact counting inclusions behind the proof's lower bound
     if not (4 * len(too_rich_q) < l_i and 4 * len(too_rich_r) < l_i):
         raise InvariantError("rich-line exclusions reach l/4")

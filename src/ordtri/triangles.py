@@ -230,7 +230,7 @@ def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,
 
     def report(case, triangles, count, exact, witness=None):
         return TriangleReport(classification=classification, case_taken=case,
-                              triangles=tuple(tuple(t) for t in triangles),
+                              triangles=tuple(triangles),
                               count=count, count_is_exact=exact,
                               rich_witness=witness, spectrum=spectrum)
 

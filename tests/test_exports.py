@@ -101,7 +101,7 @@ def test_value_types_keep_repr_hash_and_order():
 def test_mutable_defaults_are_fresh():
     first, second = ordtri.LineCensus(2, {2: 1}, None), ordtri.LineCensus(2, {2: 1}, None)
     assert first.members == {} and first.members is not second.members
-    reports = [ordtri.BoundReport("b", "n=2", Fraction(0), Fraction(1), True) for _ in range(2)]
+    reports = [ordtri.BoundReport("b", "n=2", Fraction(0), Fraction(1)) for _ in range(2)]
     assert reports[0].details == {} and reports[0].details is not reports[1].details
     assert not reports[0].vacuous
 

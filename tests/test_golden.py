@@ -5,7 +5,9 @@ Each report under tests/data was written by `ordtri <command> <input>
 <options>` run in tests/data, with the `timing_seconds` line removed.  The
 inputs are gen_rich_line_plus(14, [(0, 1), (1, 3), (3, 7), (5, -2)]), a
 projection set on a rational base (its census runs on per-axis scaled
-integers), gen_grid(6), gen_random(60, 5000, 7) and gen_cubic_progression(6).
+integers), gen_grid(6), gen_random(60, 5000, 7), gen_cubic_progression(6)
+and gen_rich_line_plus(9, [(0, j) for j in range(1, 8)] + [(1, 1)]), whose
+apex (0, 0) is excluded at c = 7 for its line to q = (0, 1), of 8 points.
 A `find` report is named after the input and its options, a `verify-bounds`
 report after the input, the command and its options.
 
@@ -34,6 +36,7 @@ FIND_RUNS = [
     ("random60", []), ("random60", ["--mode", "count"]),
     ("random60", ["--c", "5", "--mode", "exhaustive"]),
     ("cubic", []), ("cubic", ["--mode", "count"]),
+    ("rich-excluded", ["--c", "7"]),
 ]
 
 VERIFY_BOUNDS_RUNS = [

@@ -6,7 +6,8 @@ package, so a call through any import counts.  No command uses the pair
 kernel: only the tests' brute-force oracle keys pairs one at a time.  The
 rich-line path's search for an ordinary line off the rich line groups the
 pairs of its rows as the census does, by `_slope_keys`; it typically stops
-in its first row, which the count of computed keys checks.  The
+in its first row, which the count of computed keys checks.  Every other
+line multiplicity the rich-line path needs comes from the census.  The
 poor-graph listing keys each edge of the poor graph once, by `_slope_keys`.
 """
 import json
@@ -146,17 +147,18 @@ def test_rich_line_path_censuses_p_and_the_points_off_the_line(capsys, monkeypat
 
 
 def test_fast_mode_computes_one_census_of_normals(capsys, monkeypatch, tmp_path, keys):
-    """The census, the ordinary-line search's first row and the pencils of
-    q and r: at most C(n, 2) + 4n slope keys.  The census gives the pairs
-    level with their row the level key without the kernel, so the input has
-    no two points level."""
+    """The census and the ordinary-line search's first row: at most
+    C(n, 2) + n slope keys.  The multiplicities of the lines from q and r
+    to the rich line come from the census's H, which keys nothing more.
+    The census gives the pairs level with their row the level key without
+    the kernel, so the input has no two points level."""
     n = 300
     path = tmp_path / "random.txt"
     path.write_text(format_points(gen_random(n, 10 ** 6, 1)))
     assert ordtri.cli.main(["find", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["case_taken"] == "RichLine"
     assert len({p.y for p in gen_random(n, 10 ** 6, 1)}) == n
-    assert n * (n - 1) // 2 < keys["keys"] <= n * (n - 1) // 2 + 4 * n
+    assert n * (n - 1) // 2 < keys["keys"] <= n * (n - 1) // 2 + n
 
 
 # the second input takes the rich-line path first, whose search off the line

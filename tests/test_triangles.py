@@ -294,7 +294,7 @@ class TestRichCase:
     def test_example_instance(self):
         prof = enumerate_lines(RICH_EXAMPLE)
         x_axis = CanonicalLine(0, 1, 0)
-        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
+        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, 10, top=True), 10)
         assert witness.rich_line == x_axis
         assert len(tris) >= 4  # ceil(10/2) - 1
         assert all(validate_c_ordinary(RICH_EXAMPLE, prof, t, 10) for t in tris)
@@ -303,7 +303,7 @@ class TestRichCase:
 
     def test_exclusion_bounds(self):
         prof = enumerate_lines(RICH_EXAMPLE)
-        witness, _ = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
+        witness, _ = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, 10, top=True), 10)
         assert witness.rich_line == CanonicalLine(0, 1, 0)
         l = prof.entries[CanonicalLine(0, 1, 0)]
         assert len(witness.excluded - witness.survivors) <= l
@@ -312,7 +312,7 @@ class TestRichCase:
     def test_collinear_remainder_rejected(self):
         P = gen_rich_line_plus(10, [(0, 1), (1, 1)])  # remainder is 2 points
         with pytest.raises(RichCasePreconditionError):
-            find_case_rich_line(P, line_census(P, top=True), 10)
+            find_case_rich_line(P, line_census(P, 10, top=True), 10)
 
     def test_not_rich_rejected(self):
         census = line_census(GRID3, top=True)  # top: a 3-point row of the grid
@@ -328,46 +328,47 @@ class TestRichCase:
         # q and r are P-indices, which the report formats from their rows:
         # the n-point view of Fractions is never built
         P = PointSet.of([(x, 0) for x in range(10)] + [(0, 1), (1, 2), (3, 7), (-4, 5)])
-        witness, _ = find_case_rich_line(P, line_census(P, top=True), 10)
+        witness, _ = find_case_rich_line(P, line_census(P, 10, top=True), 10)
         assert "points" not in vars(P)
         assert (witness.q, witness.r) == (10, 11)
         assert witness_points(P, witness) == (point(0, 1), point(1, 2))
 
     def test_survivors_never_collinear_with_qr(self):
-        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, top=True), 10)
+        witness, tris = find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, 10, top=True), 10)
         for s in witness.survivors:
             assert orientation(RICH_EXAMPLE[s], *witness_points(RICH_EXAMPLE, witness)) != 0
 
     def test_apex_on_too_rich_line_excluded(self):
         # x = 0 holds (0, 0) and seven extras: 8 points > c = 7 through q = (0, 1)
         P = gen_rich_line_plus(9, [(0, j) for j in range(1, 8)] + [(1, 1)])
-        witness, tris = find_case_rich_line(P, line_census(P, top=True), 7)
+        witness, tris = find_case_rich_line(P, line_census(P, 7, top=True), 7)
         assert witness_points(P, witness) == (point(0, 1), point(1, 1))
         assert witness.excluded == {0} and 0 not in witness.survivors
         assert len(tris) == 8
 
     # a finder that returns a pair on a line of many points, or a census
     # whose top line lists the wrong members, trips each check in turn; the
-    # crossing check is implied by the first, so only pencils that put every
-    # point on one 2-point line through q trip it alone
+    # crossing check is implied by the first, so only members that hold q
+    # and r, on their own 2-point line, trip it alone
     @pytest.mark.parametrize("P, members, c, qi, ri, message", [
         (RICH_EXAMPLE, None, 10, 0, 1, "extra points"),
-        (RICH_EXAMPLE, None, 10, 10, 11, "twice"),
+        (RICH_EXAMPLE, tuple(range(12)), 10, 10, 11, "twice"),
         (PointSet.of([(0, j) for j in range(6)] + [(1, 0)]), (0, 1, 2, 3, 4), 5, 5, 6,
          "reach l/4"),
         (gen_rich_line_plus(4, [(0, 1), (0, 2), (1, 1)]), (0,), 100, 4, 5, "survivors"),
     ], ids=["qr-line-holds-4", "crossing-twice", "exclusions-reach-l/4", "no-survivor"])
     def test_checks_raise_invariant_error(self, monkeypatch, P, members, c, qi, ri, message):
-        census = line_census(P, top=True)
+        census = line_census(P, c, top=True)
         if members is not None:
             census = census._replace(members={census.top: members})
         monkeypatch.setattr(ordtri.richline, "find_ordinary_line",
                             lambda P, indices: (None, qi, ri))
-        if message == "twice":
-            monkeypatch.setattr(ordtri.richline, "_pencil", lambda P, k: (
-                [None if i == k else 0 for i in range(len(P))], {0: 2}))
         with pytest.raises(InvariantError, match=message):
             find_case_rich_line(P, census, c)
+
+    def test_census_at_another_threshold_rejected(self):
+        with pytest.raises(ValueError, match="rich_threshold=10"):
+            find_case_rich_line(RICH_EXAMPLE, line_census(RICH_EXAMPLE, 9, top=True), 10)
 
     def test_matches_profile_definition(self):
         rng = random.Random(5)
@@ -382,7 +383,7 @@ class TestRichCase:
                 continue
             c = rng.randrange(3, 10)
             try:
-                witness, _ = find_case_rich_line(P, line_census(P, top=True), c)
+                witness, _ = find_case_rich_line(P, line_census(P, c, top=True), c)
             except RichCasePreconditionError:
                 continue
             line, q, r, too_rich, excluded = profile_rich_case(P, c)
