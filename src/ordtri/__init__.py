@@ -25,14 +25,14 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    from importlib import import_module
-
+    # __import__ runs the import statement's machinery, which -X importtime
+    # logs; a non-empty fromlist makes it return the submodule
     if name in _EXPORTS:  # a submodule, as `ordtri.bounds` after `import ordtri`
-        return import_module(f"{__name__}.{name}")
+        return __import__(f"{__name__}.{name}", fromlist=("_",))
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    return getattr(__import__(f"{__name__}.{module}", fromlist=("_",)), name)
 
 
 def __dir__():

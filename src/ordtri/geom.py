@@ -40,11 +40,13 @@ class CanonicalLine(namedtuple("CanonicalLine", "a b c")):
 
     @classmethod
     def of(cls, a: int, b: int, c: int) -> "CanonicalLine":
-        """Normalize an integer triple into canonical form."""
-        g = gcd(a, b, c) or 1  # 0 only if a = b = c = 0, which __new__ refuses
+        """Normalize an integer triple into canonical form: one gcd and a sign."""
+        g = gcd(a, b, c)
+        if a == 0 and b == 0:
+            raise ValueError("not a line: a = b = 0")
         if a < 0 or (a == 0 and b < 0):
             g = -g
-        return cls(a // g, b // g, c // g)
+        return cls._make((a // g, b // g, c // g))  # canonical: skip __new__'s checks
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

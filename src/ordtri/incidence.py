@@ -67,16 +67,6 @@ def _cross(homogeneous, i: int, j: int) -> tuple[int, int, int]:
     return y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
 
 
-def _line_of(homogeneous, i: int, j: int) -> CanonicalLine:
-    """The line through points i and j: their cross product, reduced by one
-    gcd and sign-normalized."""
-    a, b, c = _cross(homogeneous, i, j)
-    g = gcd(a, b, c)
-    if a < 0 or (a == 0 and b < 0):
-        g = -g
-    return CanonicalLine._make((a // g, b // g, c // g))  # canonical: skip the checks
-
-
 class DegeneracyTag(Enum):
     TOO_SMALL = "TooSmall"
     ALL_COLLINEAR = "AllCollinear"
@@ -108,18 +98,19 @@ def classify_degeneracy(P: PointSet) -> DegeneracyClass:
         return [i for i in indices
                 if a * homogeneous[i][0] + b * homogeneous[i][1] + c * homogeneous[i][2]]
 
-    base = _line_of(homogeneous, 0, 1)
+    base = CanonicalLine.of(*_cross(homogeneous, 0, 1))
     first_off = off(base, range(2, n))
     if not first_off:
         return DegeneracyClass(DegeneracyTag.ALL_COLLINEAR, (base,))
     k = first_off[0]
-    for cand in (base, _line_of(homogeneous, 0, k), _line_of(homogeneous, 1, k)):
+    for cand in (base, CanonicalLine.of(*_cross(homogeneous, 0, k)),
+                 CanonicalLine.of(*_cross(homogeneous, 1, k))):
         rest = off(cand, range(n))
         if len(rest) == 1:
             anchor = next(i for i in range(n) if i != rest[0])  # on cand
-            second = _line_of(homogeneous, rest[0], anchor)
+            second = CanonicalLine.of(*_cross(homogeneous, rest[0], anchor))
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
-        second = _line_of(homogeneous, rest[0], rest[1])
+        second = CanonicalLine.of(*_cross(homogeneous, rest[0], rest[1]))
         if not off(second, rest[2:]):
             return DegeneracyClass(DegeneracyTag.TWO_LINE_UNION, (cand, second))
     return DegeneracyClass(DegeneracyTag.NON_DEGENERATE)
@@ -252,7 +243,7 @@ def line_census(P: PointSet, rich_threshold: int | None = None, *,
         raise InvariantError("pair-sum identity violated by the census")
     top_line, members = None, {}
     if top:
-        top_line = min(_line_of(homogeneous, order[top_row], k)
+        top_line = min(CanonicalLine.of(*_cross(homogeneous, order[top_row], k))
                        for k, key in zip(order[top_row + 1:], top_keys)
                        if top_groups is None or top_groups[key] == top_size)
         a, b, c = top_line

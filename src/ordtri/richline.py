@@ -56,7 +56,8 @@ def find_ordinary_line(P: PointSet, indices: Sequence[int] | None = None
             raise SylvesterGallaiError("Sylvester-Gallai hypothesis violated: collinear input")
         for b, key in enumerate(keys, a + 1):
             if groups[key] == 1 and (a, key) not in noted:
-                return incidence._line_of(P.homogeneous, idx[a], idx[b]), idx[a], idx[b]
+                line = CanonicalLine.of(*incidence._cross(P.homogeneous, idx[a], idx[b]))
+                return line, idx[a], idx[b]
         noted.update((b, key) for b, key in enumerate(keys, a + 1) if groups[key] > 1)
     raise InvariantError("a non-collinear set without an ordinary line")
 

@@ -238,9 +238,7 @@ def find_c_ordinary(P: PointSet, c: int = DEFAULT_CONSTANTS.c,
         return report(CaseTaken.DEGENERATE, (), 0, True)
     # TwoLineUnion inputs sit below the theorem's hypothesis but are still
     # searched exactly; the classification rides along in the report
-    if c < 2:
-        return report(CaseTaken.POOR_GRAPH, (), 0, True)
-    if mode == "count":
+    if mode == "count" or c < 2:  # at c <= 1 count_c_ordinary gives 0
         return report(CaseTaken.POOR_GRAPH, (), count_c_ordinary(P, c, census), True)
 
     # fast mode: the rich-line path on the census's top line, of maximum

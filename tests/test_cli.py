@@ -560,6 +560,16 @@ class TestStartup:
         assert {"ordtri.bounds", "ordtri.cli_gen_bounds", "ordtri.generators"} <= loaded
         assert not ({"ordtri.richline"} | self.PARSER) & loaded
 
+    def test_importtime_books_every_module(self):
+        # the package loads its submodules through __import__, whose imports
+        # python -X importtime logs: cli's `from . import triangles` too
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ordtri.cli"],
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        for module in ("ordtri.triangles", "ordtri.incidence", "ordtri.geom", "ordtri.pointfile"):
+            assert any(line.endswith(f" {module}") for line in lines), module
+
     def test_help_and_usage_errors_go_through_argparse(self, grid_file):
         codes, loaded, out = self.loaded_by(
             "import contextlib, io\n"

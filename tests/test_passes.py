@@ -21,7 +21,13 @@ import pytest
 import ordtri.cli
 import ordtri.incidence
 from ordtri.geom import CanonicalLine, PointSet
-from ordtri.generators import gen_projection_augmented, gen_random, gen_two_line_union
+from ordtri.generators import (
+    gen_grid,
+    gen_projection_augmented,
+    gen_random,
+    gen_rich_line_plus,
+    gen_two_line_union,
+)
 from ordtri.pointfile import format_points
 from reference import lift_kind
 
@@ -174,3 +180,26 @@ def test_fast_mode_reports_no_triangle_from_the_poor_graph(capsys, monkeypatch, 
     assert (report["case_taken"], report["count"], report["triangles"]) == ("PoorGraph", 0, [])
     assert calls == {"line_census": 1}
 
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("P", [
+    *(gen_grid(g) for g in range(5, 17)),
+    gen_rich_line_plus(12, [(0, j) for j in range(1, 9)] + [(1, 1), (2, 3)]),
+    gen_projection_augmented(gen_random(13, 10 ** 5, 7), CanonicalLine.of(1, -13577, 10 ** 9 + 7)),
+], ids=[*(f"grid{g}" for g in range(5, 17)), "rich-line-plus", "projection13"])
+def test_census_builds_each_rich_line_once(monkeypatch, P, t):
+    """H's cliques come from one cross product per line of more than t
+    points, at its owner: a later point of the line finds the line's bits in
+    its own row and skips the group.  A rebuilt clique would set no new bit,
+    so only this count shows a rebuild."""
+    crosses = Counter()
+    cross = ordtri.incidence._cross
+
+    def counted(*args):
+        crosses["_cross"] += 1
+        return cross(*args)
+
+    monkeypatch.setattr(ordtri.incidence, "_cross", counted)
+    census = ordtri.incidence.line_census(P, rich_threshold=t)
+    assert crosses["_cross"] == sum(k for l, k in census.count_by_mult.items() if l > t)
