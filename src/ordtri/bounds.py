@@ -5,46 +5,56 @@ Each verifier judges counts that its caller supplies (the spectrum, the
 number of lines and incidences, a graph's edges and triangles, the
 multiplicity histogram) and never sees a point or a line, so one verdict
 serves a line census as well as explicit lines and graphs.  All verdicts
-are exact: fractional-power comparisons are decided by cubing both sides in
-integer arithmetic, never by floating point.
+are exact integer comparisons: a rational bound over a positive common
+denominator, a fractional power by cubing both sides, never floating point.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .incidence import InvariantError
 from .triangles import DEFAULT_C_PRIME, Constants, exceeds_alpha_n
 
 
-class BoundReport(namedtuple("BoundReport", "name instance checked threshold vacuous details")):
-    """checked is the exact quantity on the constrained side, threshold the
-    exact bound it must respect, and the bound is satisfied iff
-    checked <= threshold; vacuous marks a threshold direction met trivially
-    (e.g. a negative lower bound); details is a new empty dict by default."""
+class BoundReport(namedtuple("BoundReport",
+                             "name instance checked threshold vacuous details scale")):
+    """The integers checked and threshold over the integer scale >= 1 are the
+    exact quantity on the constrained side and the bound it must respect, so
+    the bound is satisfied iff checked <= threshold; vacuous marks a threshold
+    direction met trivially (e.g. a negative lower bound); details is a new
+    empty dict by default."""
     __slots__ = ()
 
-    def __new__(cls, name, instance, checked, threshold, vacuous=False, details=None):
+    def __new__(cls, name, instance, checked, threshold, vacuous=False, details=None, scale=1):
+        if scale < 1:  # the verdict compares numerators: a scale <= 0 would flip or void it
+            raise ValueError(f"scale must be >= 1, got {scale}")
         return super().__new__(cls, name, instance, checked, threshold, vacuous,
-                               {} if details is None else details)
+                               {} if details is None else details, scale)
 
     @property
     def satisfied(self) -> bool:
         return self.checked <= self.threshold
 
 
-def st_threshold(n: int, k: int, c_prime: int = DEFAULT_C_PRIME) -> Fraction:
-    """Upper bound on f(k): c'*n^2/k^3 for k <= sqrt(n), else c'*n/k.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def st_threshold(n: int, k: int, c_prime: int = DEFAULT_C_PRIME) -> tuple[int, int]:
+    """Upper bound on f(k), c'*n^2/k^3 for k <= sqrt(n), else c'*n/k, as a
+    reduced (numerator, denominator > 0).
 
     The branch test k <= sqrt(n) is evaluated as k*k <= n.
     """
     if n < 2 or k < 2:
         raise ValueError("st_threshold requires n, k >= 2")
     if k * k <= n:
-        return Fraction(c_prime * n * n, k ** 3)
-    return Fraction(c_prime * n, k)
+        return _reduced(c_prime * n * n, k ** 3)
+    return _reduced(c_prime * n, k)
 
 
 def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = DEFAULT_C_PRIME
@@ -59,13 +69,9 @@ def check_st(n: int, spectrum: Iterable[tuple[int, int]], c_prime: int = DEFAULT
         raise ValueError("check_st requires at least 2 points")
     reports = []
     for k, fk in spectrum:
-        thr = st_threshold(n, k, c_prime)
-        reports.append(BoundReport(
-            name=f"line-richness f({k})",
-            instance=f"n={n}",
-            checked=Fraction(fk),
-            threshold=thr,
-        ))
+        num, den = st_threshold(n, k, c_prime)
+        reports.append(BoundReport(name=f"line-richness f({k})", instance=f"n={n}",
+                                   checked=fk * den, threshold=num, scale=den))
     return reports
 
 
@@ -82,32 +88,33 @@ def check_incidence_bound(n: int, m: int, inc: int) -> BoundReport:
     return BoundReport(
         name="point-line incidences",
         instance=f"n={n} m={m}",
-        checked=Fraction(8 * max(excess, 0) ** 3),
-        threshold=Fraction(125 * (m * n) ** 2),
+        checked=8 * max(excess, 0) ** 3,
+        threshold=125 * (m * n) ** 2,
         details={"incidences": inc, "excess_over_m_plus_n": excess},
     )
 
 
-def eg_lower_bound(n: int, m: int) -> Fraction:
-    """Triangle-count lower bound m*(4m - n^2)/(3n); may be negative (vacuous)."""
+def eg_lower_bound(n: int, m: int) -> tuple[int, int]:
+    """Triangle-count lower bound m*(4m - n^2)/(3n) as a reduced (numerator,
+    denominator > 0); may be negative (vacuous)."""
     if n < 1:
         raise ValueError("eg_lower_bound requires n >= 1")
-    return Fraction(m * (4 * m - n * n), 3 * n)
+    return _reduced(m * (4 * m - n * n), 3 * n)
 
 
 def check_eg(n: int, m: int, t3: int, instance: str = "") -> BoundReport:
     """t3(G) >= m*(4m - n^2)/(3n) for a graph G with n vertices, m edges and
     t3 triangles; theorem-backed for every simple graph."""
-    lower = eg_lower_bound(n, m) if n >= 1 else Fraction(0)
+    num, den = eg_lower_bound(n, m) if n >= 1 else (0, 1)
     # checked <= threshold convention: the derived lower bound is the
     # constrained quantity, the observed triangle count the ceiling
     return BoundReport(
         name="triangle lower bound",
         instance=instance or f"n={n} m={m}",
-        checked=lower,
-        threshold=Fraction(t3),
-        vacuous=lower <= 0,
-        details={"triangles": t3},
+        checked=num,
+        threshold=t3 * den,
+        vacuous=num <= 0,
+        details={"triangles": t3}, scale=den,
     )
 
 
@@ -127,7 +134,8 @@ def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
         raise ValueError("check_medium_sum needs constants with c_prime bound")
     if exceeds_alpha_n(c, max(count_by_mult, default=0), n):
         raise ValueError("case (ii) hypothesis fails: a line exceeds alpha*n")
-    unit = Fraction(c_prime * n * n, c + 1)
+    # every quantity over the scale c + 1, the denominator of c'*n^2/(c+1)
+    unit, scale = c_prime * n * n, c + 1
     # sqrt(n) split decided exactly via l*l <= n
     low = sum(comb(l, 2) * k for l, k in count_by_mult.items() if c < l and l * l <= n)
     high = sum(comb(l, 2) * k for l, k in count_by_mult.items() if c < l and l * l > n)
@@ -137,18 +145,18 @@ def check_medium_sum(n: int, count_by_mult: dict[int, int], constants: Constants
     instance = f"n={n} c={c} c'={c_prime}"
     reports = [
         BoundReport(name="medium-line pair sum", instance=instance,
-                    checked=Fraction(combined), threshold=24 * unit),
+                    checked=combined * scale, threshold=24 * unit, scale=scale),
         BoundReport(name="medium-line pair sum (below sqrt n)", instance=instance,
-                    checked=Fraction(low), threshold=8 * unit),
+                    checked=low * scale, threshold=8 * unit, scale=scale),
         BoundReport(name="medium-line pair sum (above sqrt n)", instance=instance,
-                    checked=Fraction(high), threshold=16 * unit),
+                    checked=high * scale, threshold=16 * unit, scale=scale),
     ]
     # corollary on the poor-graph edge count
     poor_edges = sum(comb(l, 2) * k for l, k in count_by_mult.items() if l <= c)
-    floor_edges = Fraction(comb(n, 2)) - 24 * unit
+    floor_edges = comb(n, 2) * scale - 24 * unit
     reports.append(BoundReport(
         name="poor-graph edge floor", instance=instance,
-        checked=floor_edges, threshold=Fraction(poor_edges),
+        checked=floor_edges, threshold=poor_edges * scale,
         vacuous=floor_edges <= 0,
-        details={"poor_edges": poor_edges}))
+        details={"poor_edges": poor_edges}, scale=scale))
     return reports

@@ -9,6 +9,7 @@ then.
 from __future__ import annotations
 
 import time
+from math import gcd
 
 from . import incidence, pointfile, triangles
 from .cli import REPORT_VERSION, _emit, _read_points, _write
@@ -78,17 +79,18 @@ def _require(args, name):
 
 # --- verify-bounds ----------------------------------------------------------
 
-def format_coord(v) -> str:
-    """A Fraction or int as point-file text: "p" or "p/q"."""
-    return _ratio_text(v.numerator, v.denominator)
+def _ratio(n: int, d: int) -> str:
+    """n/d, for d > 0, in lowest terms as point-file text: "p" or "p/q"."""
+    g = gcd(n, d)
+    return _ratio_text(n // g, d // g)
 
 
 def _bound_json(r) -> dict:
     out = {
         "name": r.name,
         "instance": r.instance,
-        "checked": format_coord(r.checked),
-        "threshold": format_coord(r.threshold),
+        "checked": _ratio(r.checked, r.scale),
+        "threshold": _ratio(r.threshold, r.scale),
         "satisfied": r.satisfied,
         "vacuous": r.vacuous,
     }
@@ -98,8 +100,6 @@ def _bound_json(r) -> dict:
 
 
 def cmd_verify_bounds(args) -> int:
-    from fractions import Fraction
-
     from . import bounds
 
     started = time.perf_counter()
@@ -131,12 +131,10 @@ def cmd_verify_bounds(args) -> int:
         "parameters": {"input": args.input, "c": args.c, "c_prime": args.c_prime},
         "n": n,
         "constants": {"c": constants.c, "c_prime": constants.c_prime,
-                      "alpha": format_coord(constants.alpha),
+                      "alpha": _ratio(4, args.c + 1),
                       "dyadic_sum_constants": {
-                          "below_sqrt_n": format_coord(Fraction(8 * args.c_prime * n * n,
-                                                                args.c + 1)),
-                          "above_sqrt_n": format_coord(Fraction(16 * args.c_prime * n * n,
-                                                                args.c + 1)),
+                          "below_sqrt_n": _ratio(8 * args.c_prime * n * n, args.c + 1),
+                          "above_sqrt_n": _ratio(16 * args.c_prime * n * n, args.c + 1),
                       }},
         "bounds": [_bound_json(r) for r in reports],
         "skipped": skipped,

@@ -40,13 +40,6 @@ class Constants(namedtuple("Constants", "c c_prime")):
             raise ValueError("c must be an integer >= 3")
         return super().__new__(cls, c, c_prime)
 
-    @property
-    def alpha(self):
-        """alpha = 4/(c+1), a fractions.Fraction."""
-        from fractions import Fraction
-
-        return Fraction(4, self.c + 1)
-
 
 def exceeds_alpha_n(c: int, l: int, n: int) -> bool:
     """l > alpha*n for alpha = 4/(c+1), decided in integers as (c+1)*l > 4*n."""

@@ -15,6 +15,9 @@ tests check it against:
   ``count_triangles`` counts its triangles;
 - ``count_incidences`` tests every point against every given line, where
   the package sums the census histogram;
+- ``st_threshold``, ``eg_lower_bound``, ``medium_unit`` and ``edge_floor``
+  are the bounds' formulas in ``Fraction``s, where the package compares
+  integers over one positive scale;
 - ``gen_projection_augmented`` makes the projection set from ``Point``s of
   ``Fraction``s, where the package makes and orders integer rows;
 - ``gen_random`` draws the seeded random set by ``Random.randrange``, where
@@ -328,6 +331,31 @@ def count_triangles(g: PoorGraph) -> int:
     """Exact triangle count of a simple undirected graph."""
     return _count_forward_triangles([sum(1 << v for v in a if v > u)
                                      for u, a in enumerate(g.adj)])
+
+
+# --- the bounds' formulas in Fractions ---------------------------------------
+
+def st_threshold(n: int, k: int, c_prime: int) -> Fraction:
+    """The Szemeredi-Trotter bound on f(k): c'*n^2/k^3 for k <= sqrt(n),
+    else c'*n/k."""
+    return Fraction(c_prime * n * n, k ** 3) if k * k <= n else Fraction(c_prime * n, k)
+
+
+def eg_lower_bound(n: int, m: int) -> Fraction:
+    """The triangle-count lower bound m*(4m - n^2)/(3n) of an n-vertex
+    graph with m edges."""
+    return Fraction(m * (4 * m - n * n), 3 * n)
+
+
+def medium_unit(n: int, c: int, c_prime: int) -> Fraction:
+    """c'*n^2/(c+1): the medium-line pair sum is at most 24 of these, its
+    halves below and above sqrt(n) at most 8 and 16."""
+    return Fraction(c_prime * n * n, c + 1)
+
+
+def edge_floor(n: int, c: int, c_prime: int) -> Fraction:
+    """The poor graph's edge floor C(n, 2) - 24*c'*n^2/(c+1)."""
+    return comb(n, 2) - 24 * medium_unit(n, c, c_prime)
 
 
 # --- the projection generator by Fractions -----------------------------------

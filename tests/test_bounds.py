@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ordtri.bounds import (
+    BoundReport,
     check_eg,
     check_incidence_bound,
     check_medium_sum,
@@ -14,8 +16,10 @@ from ordtri.bounds import (
     eg_lower_bound,
     st_threshold,
 )
+from ordtri.cli_gen_bounds import _ratio
 from ordtri.incidence import PointSet, line_census
-from ordtri.triangles import Constants, build_poor_graph, derive_constants
+from ordtri.pointfile import _ratio_text
+from ordtri.triangles import Constants, build_poor_graph, derive_constants, exceeds_alpha_n
 from ordtri.generators import gen_grid, gen_projection_augmented, gen_random
 from ordtri.geom import CanonicalLine
 from reference import (
@@ -61,16 +65,25 @@ def medium_sum_of(prof, constants):
     return check_medium_sum(prof.n, prof.multiplicity_histogram(), constants)
 
 
+def checked(r):
+    """A BoundReport's checked side, an integer over its scale, as a Fraction."""
+    return Fraction(r.checked, r.scale)
+
+
+def threshold(r):
+    return Fraction(r.threshold, r.scale)
+
+
 class TestStThreshold:
     def test_boundary_k_eq_sqrt_n(self):
         # k*k == n takes the n^2/k^3 branch: 125 * 100^2 / 10^3
-        assert st_threshold(100, 10, 125) == 1250
+        assert st_threshold(100, 10, 125) == (1250, 1)
 
     def test_above_sqrt(self):
-        assert st_threshold(100, 11, 125) == Fraction(12500, 11)
+        assert st_threshold(100, 11, 125) == (12500, 11)
 
     def test_small(self):
-        assert st_threshold(9, 3, 125) == 375
+        assert st_threshold(9, 3, 125) == (375, 1)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -84,8 +97,8 @@ class TestCheckSt:
         P = gen_grid(3)
         reports = st_of(P)
         by_name = {r.name: r for r in reports}
-        assert by_name["line-richness f(3)"].checked == 8
-        assert by_name["line-richness f(3)"].threshold == 375
+        assert checked(by_name["line-richness f(3)"]) == 8
+        assert threshold(by_name["line-richness f(3)"]) == 375
         assert all(r.satisfied for r in reports)
 
     def test_ten_collinear(self):
@@ -93,7 +106,7 @@ class TestCheckSt:
         reports = st_of(P)
         top = [r for r in reports if r.name == "line-richness f(10)"][0]
         # k = 10 > sqrt(10): the n/k branch applies, 125 * 10 / 10
-        assert top.checked == 1 and top.threshold == 125
+        assert checked(top) == 1 and threshold(top) == 125
         assert all(r.satisfied for r in reports)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -149,15 +162,15 @@ class TestIncidenceBound:
 
 class TestEgBound:
     def test_k4_tight(self):
-        assert eg_lower_bound(4, 6) == 4
+        assert eg_lower_bound(4, 6) == (4, 1)
         r = eg_of(complete_graph(4))
-        assert r.satisfied and r.details["triangles"] == 4 and r.checked == 4
+        assert r.satisfied and r.details["triangles"] == 4 and checked(r) == 4
 
     def test_empty_graph(self):
-        assert eg_lower_bound(5, 0) == 0
+        assert eg_lower_bound(5, 0) == (0, 1)
 
     def test_vacuous_negative(self):
-        assert eg_lower_bound(100, 2000) < 0
+        assert eg_lower_bound(100, 2000)[0] < 0  # the numerator; the denominator is > 0
         r = eg_of(random_graph(100, 0.3, 1))
         assert r.satisfied
 
@@ -222,14 +235,22 @@ class TestCountTriangles:
             assert count_triangles(g) == expected
 
 
+def alpha_is(c, num, den):
+    """alpha = 4/(c+1) is num/den, read through exceeds_alpha_n(c, l, n),
+    l > alpha*n: at n = den, alpha*n = num is not exceeded by num points
+    and is by num + 1, and at n = den - 1 it is by num."""
+    return (not exceeds_alpha_n(c, num, den) and exceeds_alpha_n(c, num + 1, den)
+            and exceeds_alpha_n(c, num, den - 1))
+
+
 class TestDeriveConstants:
     def test_headline_constants(self):
         k = derive_constants(125)
-        assert k.c == 12000 and k.alpha == Fraction(4, 12001) and k.c_prime == 125
+        assert k.c == 12000 and alpha_is(k.c, 4, 12001) and k.c_prime == 125
 
     def test_unit(self):
         k = derive_constants(1)
-        assert k.c == 96 and k.alpha == Fraction(4, 97)
+        assert k.c == 96 and alpha_is(k.c, 4, 97)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -267,8 +288,8 @@ class TestMediumSum:
         P = PointSet.of([(i, 0) for i in range(4)] + [(0, 1), (1, 2), (3, 5), (7, 2), (5, 9)])
         prof = enumerate_lines(P)
         assert prof.max_multiplicity == 4
-        assert [r.checked for r in medium_sum_of(prof, Constants(3, 125))[:3]] == [6, 0, 6]
-        assert [r.checked for r in medium_sum_of(prof, Constants(5, 125))[:3]] == [0, 0, 0]
+        assert [checked(r) for r in medium_sum_of(prof, Constants(3, 125))[:3]] == [6, 0, 6]
+        assert [checked(r) for r in medium_sum_of(prof, Constants(5, 125))[:3]] == [0, 0, 0]
 
     def test_edge_floor_corollary(self):
         for seed in range(5):
@@ -280,3 +301,62 @@ class TestMediumSum:
             reports = medium_sum_of(prof, const)
             floor = [r for r in reports if r.name == "poor-graph edge floor"][0]
             assert floor.satisfied
+
+
+class TestAgainstFractions:
+    """Every check gives the verdict, the vacuous flag and the printed
+    checked and threshold texts of its formulas in Fractions (reference)."""
+
+    @staticmethod
+    def agrees(r, lower, upper, vacuous=False):
+        assert (r.satisfied, r.vacuous) == (lower <= upper, vacuous)
+        assert (_ratio(r.checked, r.scale), _ratio(r.threshold, r.scale)) == (
+            _ratio_text(lower.numerator, lower.denominator),
+            _ratio_text(upper.numerator, upper.denominator))
+
+    @given(st.integers(2, 10 ** 4), st.integers(1, 200),
+           st.lists(st.tuples(st.integers(2, 150), st.integers(0, 10 ** 7)), max_size=6),
+           st.integers(0, 10 ** 7))
+    @settings(max_examples=150, deadline=None)
+    def test_check_st(self, n, c_prime, spectrum, f_root):
+        # k = isqrt(n) and k = isqrt(n) + 1 sit on either side of sqrt(n)
+        spectrum += [(max(2, isqrt(n)), f_root), (isqrt(n) + 1, f_root)]
+        reports = check_st(n, spectrum, c_prime)
+        assert len(reports) == len(spectrum)
+        for r, (k, fk) in zip(reports, spectrum):
+            self.agrees(r, Fraction(fk), reference.st_threshold(n, k, c_prime))
+
+    @given(st.integers(-3, 300), st.integers(0, 10 ** 4), st.integers(0, 10 ** 9))
+    @settings(max_examples=150, deadline=None)
+    def test_check_eg(self, n, m, t3):
+        # n < 1 has no bound: the check holds vacuously at 0
+        lower = reference.eg_lower_bound(n, m) if n >= 1 else Fraction(0)
+        self.agrees(check_eg(n, m, t3), lower, Fraction(t3), lower <= 0)
+
+    @given(st.data(), st.integers(2, 10 ** 5), st.integers(3, 40) | st.integers(41, 12000),
+           st.integers(1, 3) | st.integers(4, 200))
+    @settings(max_examples=150, deadline=None)
+    def test_check_medium_sum(self, data, n, c, c_prime):
+        # every line at most alpha*n = 4n/(c+1) points: case (ii)
+        top = 4 * n // (c + 1)
+        hist = data.draw(st.dictionaries(st.integers(2, max(2, top)),
+                                         st.integers(1, 5) | st.integers(6, 10 ** 9),
+                                         max_size=0 if top < 2 else 8))
+        reports = check_medium_sum(n, hist, Constants(c, c_prime))
+        low = sum(comb(l, 2) * k for l, k in hist.items() if c < l and l * l <= n)
+        high = sum(comb(l, 2) * k for l, k in hist.items() if c < l and l * l > n)
+        unit = reference.medium_unit(n, c, c_prime)
+        for r, part, times in zip(reports, (low + high, low, high), (24, 8, 16)):
+            self.agrees(r, Fraction(part), times * unit)
+        floor = reference.edge_floor(n, c, c_prime)
+        poor = sum(comb(l, 2) * k for l, k in hist.items() if l <= c)
+        self.agrees(reports[3], floor, Fraction(poor), floor <= 0)
+
+
+class TestBoundReport:
+    def test_rejects_nonpositive_scale(self):
+        # the verdict compares numerators, so it holds only over a positive scale
+        for scale in (0, -3):
+            with pytest.raises(ValueError, match="scale must be >= 1"):
+                BoundReport("b", "n=2", 1, 2, scale=scale)
+        assert BoundReport("b", "n=2", 3, 2, scale=2).scale == 2

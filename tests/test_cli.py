@@ -552,13 +552,21 @@ class TestStartup:
         assert "ordtri.generators" in loaded
         assert not (self.EXACT | self.PARSER | {"numbers"}) & loaded
 
-    def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file):
+    def test_verify_bounds_and_generate_load_no_rich_line(self, grid_file, tmp_path):
+        # the bounds are decided in integers over a common scale and printed
+        # by gcd, so verify-bounds makes no Fraction, also on a projection
+        # set on a rational base
+        base = parse_points(io.StringIO("0 0\n1/2 1/3\n2 5/7\n-1 3\n7/4 -2/9\n3 1\n"))
+        projection = write_points(
+            tmp_path, gen_projection_augmented(base, CanonicalLine.of(3, -2, 1)), "projection.txt")
         codes, loaded, out = self.loaded_by(
-            "codes = [cli.main(['verify-bounds', sys.argv[1], '--c', '3']),\n"
-            "         cli.main(['generate', '--kind', 'grid', '--size', '3'])]\n", grid_file)
-        assert codes == "0 0" and out.count('"command": "verify-bounds"') == 1
+            "codes = [cli.main(['verify-bounds', path, '--c', '3']) for path in sys.argv[1:]]\n"
+            "codes.append(cli.main(['generate', '--kind', 'grid', '--size', '3']))\n",
+            grid_file, projection)
+        assert codes == "0 0 0" and out.count('"command": "verify-bounds"') == 2
+        assert "/" in out.split('"bounds"')[-1]  # some bound is printed as a ratio
         assert {"ordtri.bounds", "ordtri.cli_gen_bounds", "ordtri.generators"} <= loaded
-        assert not ({"ordtri.richline"} | self.PARSER) & loaded
+        assert not ({"ordtri.richline", "numbers"} | self.EXACT | self.PARSER) & loaded
 
     def test_importtime_books_every_module(self):
         # the package loads its submodules through __import__, whose imports

@@ -567,6 +567,15 @@ class TestLifts:
     def test_rational_input_takes_the_homogeneous_lift(self, P):
         assert lift_kind(P) == "homogeneous"
 
+    def test_homogeneous_shift_keys_near_slopes_apart(self):
+        # through (-7, 7) the inverse slopes to the other two points, 49/50
+        # and 50/51, differ by 1/2550 > 2^-12, with B = 3 bits: S = 4B keys
+        # them apart, S = 4B - 1 = 11 does not, and a census with that shift
+        # sees one 3-point line
+        P = PointSet.of([(-7, 7), (0, "-1/7"), ("1/7", "-2/7")])
+        assert lift_kind(P) == "homogeneous"
+        assert line_census(P).count_by_mult == {2: 3}
+
 
 class TestClassifyDegeneracy:
     def test_too_small(self):
